@@ -18,9 +18,11 @@ which is what makes a long-running service and the batch drivers
 interchangeable witnesses of the model.
 
 Every solve consults the content-addressed cache in :mod:`repro.perf`,
-so a served prediction is two dictionary lookups once warm; the batch
-entry point :func:`predict_sweep` pools cold cells through the lock-step
-kernel exactly like the sweep drivers do.
+so once warm a served prediction is a memoized profile plus one flow-cache
+hit per cell; the batch entry point :func:`predict_sweep` pools cold cells
+through the lock-step kernel exactly like the sweep drivers do.
+:func:`flow_cells` names the cells a prediction solves, so a caller can
+ask the cache whether an answer needs a solve at all.
 """
 
 from __future__ import annotations
@@ -137,9 +139,54 @@ def _prediction(machine: Machine, alloc: CoreAllocation, flow: FlowResult,
     )
 
 
-def _baseline_alloc(machine: Machine, n_threads: int) -> CoreAllocation:
-    """The omega baseline: one active core, same thread count."""
-    return CoreAllocation(machine=machine, n_active=1, n_threads=n_threads)
+def flow_cells(profile: MemoryProfile, machine: Machine,
+               allocations: list[CoreAllocation]
+               ) -> list[tuple[MemoryProfile, Machine, CoreAllocation]]:
+    """The flow cells a prediction over ``allocations`` solves.
+
+    Each allocation, then one one-core baseline per distinct thread
+    count (in order of first appearance) — the omega denominators.
+    """
+    baselines = {a.n_threads: CoreAllocation(machine=machine, n_active=1,
+                                             n_threads=a.n_threads)
+                 for a in allocations}
+    return [(profile, machine, a)
+            for a in (*allocations, *baselines.values())]
+
+
+def workload_allocation(machine: Machine, n_active: int,
+                        n_threads: int | None = None) -> CoreAllocation:
+    """The allocation :func:`predict_workload` solves.
+
+    ``n_threads`` defaults to the paper's policy (threads fixed at the
+    machine's core count).
+    """
+    threads = machine.n_cores if n_threads is None else n_threads
+    return CoreAllocation(machine=machine, n_active=n_active,
+                          n_threads=threads)
+
+
+def candidate_allocations(machine: Machine,
+                          core_counts: list[int] | None = None,
+                          n_threads: int | None = None
+                          ) -> list[CoreAllocation]:
+    """The allocations :func:`recommend` scores, validated and deduplicated.
+
+    ``core_counts`` defaults to every count ``1..n_cores``; repeats keep
+    their first position.
+    """
+    threads = machine.n_cores if n_threads is None else n_threads
+    if core_counts is None:
+        core_counts = list(range(1, machine.n_cores + 1))
+    if not core_counts:
+        raise ValidationError("recommend needs at least one candidate "
+                              "core count")
+    counts: dict[int, None] = {}
+    for n in core_counts:
+        check_integer("core count", n, minimum=1, maximum=machine.n_cores)
+        counts.setdefault(n)
+    return [CoreAllocation(machine=machine, n_active=n, n_threads=threads)
+            for n in counts]
 
 
 def predict(profile: MemoryProfile, machine: Machine,
@@ -155,9 +202,8 @@ def predict(profile: MemoryProfile, machine: Machine,
     """
     with obs.span("flow.solve", machine=machine.name,
                   n_active=alloc.n_active, n_threads=alloc.n_threads):
-        flow = solve_flow(profile, machine, alloc)
-        baseline = solve_flow(profile, machine,
-                              _baseline_alloc(machine, alloc.n_threads))
+        flow, baseline = [solve_flow(*cell)
+                          for cell in flow_cells(profile, machine, [alloc])]
     return _prediction(machine, alloc, flow, baseline, program, size)
 
 
@@ -166,16 +212,14 @@ def predict_workload(program: str, size: str, machine: Machine,
                      ) -> Prediction:
     """Predict a named Table I workload at one allocation.
 
-    ``n_threads`` defaults to the paper's policy (threads fixed at the
-    machine's core count).  The calibrated profile comes from the same
-    :func:`calibrate_profile` the measurement substrate uses.
+    The allocation is :func:`workload_allocation`'s; the calibrated
+    profile comes from the same :func:`calibrate_profile` the
+    measurement substrate uses.
     """
     check_integer("n_active", n_active, minimum=1,
                   maximum=machine.n_cores)
-    threads = machine.n_cores if n_threads is None else n_threads
     profile = calibrate_profile(program, size, machine)
-    alloc = CoreAllocation(machine=machine, n_active=n_active,
-                           n_threads=threads)
+    alloc = workload_allocation(machine, n_active, n_threads)
     return predict(profile, machine, alloc, program=program, size=size)
 
 
@@ -194,24 +238,20 @@ def predict_sweep(profile: MemoryProfile, machine: Machine,
     """
     if not allocations:
         return []
-    baselines = {}
-    for alloc in allocations:
-        baselines.setdefault(
-            alloc.n_threads, _baseline_alloc(machine, alloc.n_threads))
-    cells = [(profile, machine, a) for a in allocations] \
-        + [(profile, machine, b) for b in baselines.values()]
+    cells = flow_cells(profile, machine, allocations)
     with obs.span("flow.solve_batch", machine=machine.name,
                   cells=len(cells)):
         if batch_solve_enabled():
             solved = solve_flow_cells(cells)
         else:
             solved = [solve_flow(p, m, a) for p, m, a in cells]
-    flows = solved[:len(allocations)]
-    base_flows = dict(zip(baselines.keys(), solved[len(allocations):]))
+    n = len(allocations)
+    base_flows = {a.n_threads: flow
+                  for (_, _, a), flow in zip(cells[n:], solved[n:])}
     return [
         _prediction(machine, alloc, flow, base_flows[alloc.n_threads],
                     program, size)
-        for alloc, flow in zip(allocations, flows)
+        for alloc, flow in zip(allocations, solved[:n])
     ]
 
 
@@ -229,21 +269,7 @@ def recommend(profile: MemoryProfile, machine: Machine,
     cores spread the work but buy memory contention, and the knee of
     that trade-off is exactly what the service is asked to find.
     """
-    threads = machine.n_cores if n_threads is None else n_threads
-    if core_counts is None:
-        core_counts = list(range(1, machine.n_cores + 1))
-    if not core_counts:
-        raise ValidationError("recommend needs at least one candidate "
-                              "core count")
-    seen: set[int] = set()
-    counts: list[int] = []
-    for n in core_counts:
-        check_integer("core count", n, minimum=1, maximum=machine.n_cores)
-        if n not in seen:
-            seen.add(n)
-            counts.append(n)
-    allocations = [CoreAllocation(machine=machine, n_active=n,
-                                  n_threads=threads) for n in counts]
+    allocations = candidate_allocations(machine, core_counts, n_threads)
     predictions = predict_sweep(profile, machine, allocations,
                                 program=program, size=size)
     ranked = sorted(predictions,
@@ -267,9 +293,12 @@ def recommend_workload(program: str, size: str, machine: Machine,
 __all__ = [
     "Prediction",
     "Recommendation",
+    "candidate_allocations",
+    "flow_cells",
     "predict",
     "predict_workload",
     "predict_sweep",
     "recommend",
     "recommend_workload",
+    "workload_allocation",
 ]

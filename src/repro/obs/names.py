@@ -81,9 +81,6 @@ SERVE_ERRORS = "serve.errors"
 SERVE_BAD_REQUESTS = "serve.bad_requests"
 SERVE_PREDICTIONS = "serve.predictions"
 SERVE_RECOMMENDATIONS = "serve.recommendations"
-SERVE_CACHE_HITS = "serve.cache.hits"
-SERVE_CACHE_MISSES = "serve.cache.misses"
-SERVE_CACHE_HIT_RATE = "serve.cache.hit_rate"
 SERVE_REQUEST_SECONDS = "serve.request_seconds"
 
 # -- service SLOs (burn-rate gauges; labels: objective=, window=) -------------

@@ -4,7 +4,7 @@
 analytical solves — identical (machine, profile, allocation) triples in
 ``runtime.flow`` and identical closed networks in ``qnet.mva`` — return
 previously computed results bit-identically instead of re-running the
-MVA recursions.  Hit/miss/eviction counters are mirrored into the
+MVA recursions, plus the memo of calibrated profiles those solves key on.  Hit/miss/eviction counters are mirrored into the
 ``repro.obs`` telemetry session as ``perf.cache.<name>.*``.
 
 Disable with ``REPRO_PERF_CACHE=0`` or :func:`set_enabled`.
@@ -19,6 +19,7 @@ from repro.perf.cache import (
     configure,
     flow_cache,
     mva_cache,
+    profile_cache,
     set_enabled,
 )
 from repro.perf.keys import fingerprint, flow_key, mva_key
@@ -35,5 +36,6 @@ __all__ = [
     "flow_key",
     "mva_cache",
     "mva_key",
+    "profile_cache",
     "set_enabled",
 ]

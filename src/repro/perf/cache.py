@@ -1,19 +1,22 @@
 """Bounded LRU memoization caches for the analytical solvers.
 
-Two process-global caches back the fast path:
+Three process-global caches back the fast path:
 
 * :data:`flow_cache` — full ``runtime.flow`` solutions, keyed on the
   content hash of (machine, profile, allocation);
 * :data:`mva_cache` — closed-network solutions: ``ClosedNetwork.solve``
-  results and the flow solver's internal per-chain throughputs.
+  results and the flow solver's internal per-chain throughputs;
+* :data:`profile_cache` — calibrated memory profiles, keyed on
+  (program, class, machine fingerprint), so equal requests share one
+  profile object and its identity-memoized fingerprint.
 
-Both are enabled by default, bounded (LRU eviction) and observable: each
+All are enabled by default, bounded (LRU eviction) and observable: each
 lookup bumps local hit/miss counters, mirrored into the active telemetry
 session as ``perf.cache.<name>.hits`` / ``.misses`` / ``.evictions`` so
 BENCH records and run manifests show cache effectiveness alongside the
 solver-call counters they suppress.
 
-Set ``REPRO_PERF_CACHE=0`` in the environment to disable both caches
+Set ``REPRO_PERF_CACHE=0`` in the environment to disable every cache
 (used by the regression gate to measure the uncached baseline), or call
 :func:`set_enabled` / :func:`clear_caches` programmatically.
 """
@@ -85,6 +88,13 @@ class MemoCache:
             tel.metrics.counter(metric).inc()
         return value
 
+    def peek(self, key) -> object:
+        """The cached value, or :data:`MISS`, moving no counter or recency."""
+        if not self.enabled:
+            return MISS
+        with self._lock:
+            return self._data.get(key, MISS)
+
     def put(self, key, value) -> None:
         """Insert ``key -> value``, evicting the LRU entry when full."""
         if not self.enabled:
@@ -148,12 +158,14 @@ def _env_enabled() -> bool:
 flow_cache = MemoCache("flow", maxsize=4096, enabled=_env_enabled())
 #: Closed-network solutions (MVA results and per-chain throughputs).
 mva_cache = MemoCache("mva", maxsize=32768, enabled=_env_enabled())
+#: Calibrated memory profiles; one entry per (program, class, machine).
+profile_cache = MemoCache("profile", maxsize=1024, enabled=_env_enabled())
 
-_ALL = (flow_cache, mva_cache)
+_ALL = (flow_cache, mva_cache, profile_cache)
 
 
 def set_enabled(flag: bool) -> None:
-    """Enable or disable both solver caches (disabling also clears them)."""
+    """Enable or disable every cache (disabling also clears them)."""
     for cache in _ALL:
         cache.enabled = flag
         if not flag:
@@ -161,18 +173,18 @@ def set_enabled(flag: bool) -> None:
 
 
 def caches_enabled() -> bool:
-    """True when the solver caches are active."""
+    """True when every cache is active."""
     return all(c.enabled for c in _ALL)
 
 
 def clear_caches() -> None:
-    """Empty both solver caches (size goes to zero; counters persist)."""
+    """Empty every cache (size goes to zero; counters persist)."""
     for cache in _ALL:
         cache.clear()
 
 
 def cache_stats() -> dict[str, dict]:
-    """``{cache name: stats dict}`` for every solver cache."""
+    """``{cache name: stats dict}`` for every cache."""
     return {c.name: c.stats() for c in _ALL}
 
 

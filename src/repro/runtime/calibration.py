@@ -39,11 +39,14 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import cast
 
 from repro import obs
 from repro.machine.allocation import CoreAllocation
 from repro.machine.topology import Machine, MemoryArchitecture
 from repro.obs import names as _names
+from repro.perf.cache import MISS, profile_cache
+from repro.perf.keys import cached_fingerprint
 from repro.runtime.flow import solve_flow
 from repro.util.validation import ValidationError
 from repro.workloads import get_workload
@@ -269,21 +272,43 @@ def apply_knobs(profile: MemoryProfile,
     return profile
 
 
+def _profile_key(program: str, size: str, machine: Machine) -> tuple:
+    return (program, size, cached_fingerprint(machine))
+
+
 def calibrate_profile(program: str, size: str,
                       machine: Machine) -> MemoryProfile:
     """The calibrated memory profile for (program, class) on ``machine``.
 
     Profiles on machines without Table II anchors (custom machines, or
-    x264 everywhere) are returned as profiled.
+    x264 everywhere) are returned as profiled.  Results are memoized in
+    :data:`repro.perf.profile_cache` on the machine's content
+    fingerprint, so equal inputs — even two separately built presets —
+    get the same frozen profile object, whose fingerprint the flow-cache
+    keys then find memoized by identity.
     """
-    workload = get_workload(program)
-    profile = workload.profile(size, machine)
-    mkey = machine_key(machine)
+    key = _profile_key(program, size, machine)
+    profile = profile_cache.get(key)
+    if profile is MISS:
+        profile = get_workload(program).profile(size, machine)
+        mkey = machine_key(machine)
+        if (program, size, mkey) in TABLE2:
+            profile = apply_knobs(
+                profile, dict(_calibrate_cached(program, size, mkey)))
+        profile_cache.put(key, profile)
     obs.counter(_names.CALIBRATION_PROFILE_LOOKUPS)
-    if (program, size, mkey) not in TABLE2:
-        return profile
-    knobs = dict(_calibrate_cached(program, size, mkey))
-    return apply_knobs(profile, knobs)
+    return cast(MemoryProfile, profile)
+
+
+def memoized_profile(program: str, size: str,
+                     machine: Machine) -> MemoryProfile | None:
+    """The profile :func:`calibrate_profile` has memoized, else None.
+
+    A pure look for callers deciding whether an answer is already
+    cached: it counts no lookup and moves no cache counter or recency.
+    """
+    profile = profile_cache.peek(_profile_key(program, size, machine))
+    return None if profile is MISS else cast(MemoryProfile, profile)
 
 
 def regenerate_table() -> dict[tuple[str, str, str], dict[str, float]]:

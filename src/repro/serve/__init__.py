@@ -9,8 +9,9 @@ enumerates allocations and returns the minimum-slowdown placement.
 payload builders — extended with the rolling-window block and the SLO
 burn-rate state from the per-server
 :class:`~repro.serve.stats.ServiceTelemetry` — and every solve goes
-through the shared content-addressed cache in :mod:`repro.perf`: a warm
-prediction is two dictionary lookups.  Each request carries an
+through the shared content-addressed caches in :mod:`repro.perf`: a
+warm prediction is answered on the event loop from cached cells, a cold
+one is solved on a worker pool.  Each request carries an
 ``X-Repro-Request-Id`` and a span tree retrievable via
 ``GET /debug/requests``; ``GET /dashboard`` renders a script-free
 inline-SVG live view.  See docs/SERVING.md.

@@ -17,14 +17,15 @@ third-party frameworks) that frames requests and routes them:
 
 Every request gets a ``request_id`` (honouring a well-formed
 client-supplied ``X-Repro-Request-Id``), echoed on the response and
-stamped on the ``serve.request`` span.  The event loop only frames
-bytes; handler bodies run on a small thread pool (``run_in_executor``)
-under ``contextvars.copy_context()``, so spans the solver opens in a
-pool thread parent to the dispatching request's span instead of
-orphaning — that is what makes the ``/debug/requests`` trace trees
-complete.  Warm requests are two dictionary lookups, which is what
-lets a single process clear the 1k-predictions/s bar in
-``benchmarks/bench_serve.py``.
+stamped on the ``serve.request`` span.  A request whose every flow cell
+is already in the flow cache (and whose calibrated profile is memoized)
+is answered by the handler on the event loop: it is a handful of
+dictionary lookups, cheaper than the thread hop.  Every request that
+needs a solve runs on a small thread pool (``run_in_executor``) under
+``contextvars.copy_context()``, so a cold solve never stalls framing,
+and spans the solver opens in a pool thread parent to the dispatching
+request's span instead of orphaning — that is what makes the
+``/debug/requests`` trace trees complete on both paths.
 
 Every response path — including malformed-framing rejections — is
 recorded exactly once on the server's
@@ -32,8 +33,9 @@ recorded exactly once on the server's
 have trustworthy denominators.
 
 Connections are keep-alive by default (HTTP/1.1), closed on
-``Connection: close``, malformed framing, or ``read_timeout_s`` of
-idleness.  Bodies are capped at :data:`MAX_BODY_BYTES`.
+``Connection: close``, malformed framing, or a read (the head, or the
+body) that takes longer than ``read_timeout_s``.  Bodies are capped at
+:data:`MAX_BODY_BYTES`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,12 @@ from urllib.parse import parse_qs
 from repro import obs
 from repro.obs.export import events_payload, healthz_payload, metrics_payload
 from repro.obs.tracing import Span
-from repro.serve.service import handle_predict, handle_recommend
+from repro.serve.service import (
+    handle_predict,
+    handle_recommend,
+    predict_memoized,
+    recommend_memoized,
+)
 from repro.serve.stats import ServiceTelemetry
 
 #: Largest accepted request body; predict/recommend bodies are tiny.
@@ -160,8 +167,8 @@ class PredictionServer:
                 keep_alive = await self._serve_one(reader, writer)
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError,
+                asyncio.LimitOverrunError):
             pass
         finally:
             writer.close()
@@ -170,11 +177,25 @@ class PredictionServer:
             except ConnectionError:
                 pass
 
+    async def _read(self, read, writer: asyncio.StreamWriter) -> bytes:
+        """Await ``read`` under a ``read_timeout_s`` deadline.
+
+        The deadline is a loop timer that aborts the transport, not a
+        ``wait_for`` task: the aborted read raises the
+        ``IncompleteReadError`` / ``ConnectionError`` that
+        :meth:`_serve_connection` already treats as a closed connection.
+        """
+        deadline = asyncio.get_running_loop().call_later(
+            self.read_timeout_s, writer.transport.abort)
+        try:
+            return await read
+        finally:
+            deadline.cancel()
+
     async def _serve_one(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> bool:
         """Frame and answer one request; returns keep-alive?"""
-        head = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=self.read_timeout_s)
+        head = await self._read(reader.readuntil(b"\r\n\r\n"), writer)
         t0 = time.perf_counter()
         if len(head) > _MAX_HEAD_BYTES:
             await self._finish(
@@ -211,8 +232,7 @@ class PredictionServer:
             return False
         raw = b""
         if length:
-            raw = await asyncio.wait_for(
-                reader.readexactly(length), timeout=self.read_timeout_s)
+            raw = await self._read(reader.readexactly(length), writer)
 
         status, payload, trace = await self._route(
             method, path, raw, request_id)
@@ -253,12 +273,18 @@ class PredictionServer:
 
     async def _handle_post(self, path: str, raw: bytes, request_id: str
                            ) -> tuple[int, object, dict | None]:
-        """Decode, trace and dispatch one handler call to the pool.
+        """Decode, trace and answer one handler call, on the loop or the pool.
 
-        The ``serve.request`` span carries the ``request_id`` label;
-        the handler runs inside a *copy* of this context, so solver
-        spans opened in the pool thread nest under it and structured
-        log events emitted anywhere below pick the id up.
+        The ``serve.request`` span carries the ``request_id`` label.
+        When the caches already hold the answer the handler runs right
+        here, inside this context; otherwise it runs on the pool inside
+        a *copy* of it.  Either way solver spans nest under the request
+        span and structured log events emitted below pick the id up.
+
+        The cache look and the handler call are not atomic: a pool
+        thread may evict an entry in between.  The answer stays correct
+        (the handler solves what it misses) and only that one request
+        solves on the loop.
         """
         try:
             body = json.loads(raw.decode("utf-8")) if raw else None
@@ -266,13 +292,19 @@ class PredictionServer:
             return 400, {"error": f"request body is not JSON: {exc}"}, None
         if body is None:
             return 400, {"error": "request body must be a JSON object"}, None
-        handler = handle_predict if path == "/predict" else handle_recommend
-        loop = asyncio.get_running_loop()
+        if path == "/predict":
+            handler, memoized = handle_predict, predict_memoized
+        else:
+            handler, memoized = handle_recommend, recommend_memoized
         with obs.span("serve.request", request_id=request_id,
                       path=path) as req_span:
-            ctx = contextvars.copy_context()
-            status, payload = await loop.run_in_executor(
-                self._executor, ctx.run, handler, body)
+            if memoized(body):
+                status, payload = handler(body)
+            else:
+                loop = asyncio.get_running_loop()
+                ctx = contextvars.copy_context()
+                status, payload = await loop.run_in_executor(
+                    self._executor, ctx.run, handler, body)
         trace = None
         if isinstance(req_span, Span):
             # Move the finished tree out of the session tracer (bounding

@@ -24,8 +24,10 @@ streams.  The clock is injectable for tests.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
+from collections import deque
 from typing import Callable
 
 from repro import obs
@@ -41,15 +43,24 @@ REQUEST_LOG_SIZE = 128
 SLOW_REQUEST_S = 0.25
 
 
+def _slower_first(entry: dict) -> float:
+    return -entry["duration_s"]
+
+
 class RequestLog:
-    """Bounded ring of recent requests plus a bounded slowest-N board."""
+    """Bounded ring of recent requests plus a bounded slowest-N board.
+
+    The board is kept in descending duration, ties in arrival order:
+    what appending, stable-sorting and truncating would retain, at the
+    cost of one comparison for a request that does not make the board.
+    """
 
     def __init__(self, size: int = REQUEST_LOG_SIZE) -> None:
         if size < 1:
             raise ValueError("request log size must be >= 1")
         self.size = size
         self.total = 0
-        self._recent: list[dict] = []
+        self._recent: deque[dict] = deque(maxlen=size)
         self._slowest: list[dict] = []
         self._lock = threading.Lock()
 
@@ -57,11 +68,12 @@ class RequestLog:
         with self._lock:
             self.total += 1
             self._recent.append(entry)
-            if len(self._recent) > self.size:
-                self._recent.pop(0)
-            self._slowest.append(entry)
-            self._slowest.sort(key=lambda e: -e["duration_s"])
-            del self._slowest[self.size:]
+            slowest = self._slowest
+            if len(slowest) == self.size:
+                if entry["duration_s"] <= slowest[-1]["duration_s"]:
+                    return
+                slowest.pop()
+            bisect.insort_right(slowest, entry, key=_slower_first)
 
     def recent(self, limit: int | None = None) -> list[dict]:
         """Most recent requests, newest first."""

@@ -19,6 +19,7 @@ from repro.core.predict import predict_workload
 from repro.obs import names as _names
 from repro.serve import PredictionServer, ServiceTelemetry, get_machine
 from repro.serve.service import handle_predict, handle_recommend
+from repro.serve.stats import RequestLog
 from repro.util.validation import ValidationError
 
 PREDICT_BODY = {"machine": "intel_uma", "program": "CG", "size": "C",
@@ -103,17 +104,16 @@ class TestPredictHandler:
         assert _names.SERVE_REQUEST_SECONDS not in tel.metrics.snapshot()
 
     def test_cache_hit_counters_increment_on_warm_requests(self):
+        hits = _names.perf_cache_metric("flow", "hits")
+        misses = _names.perf_cache_metric("flow", "misses")
         tel = obs.enable(fresh=True)
         handle_predict(dict(PREDICT_BODY))          # cold: misses only
-        cold_hits = counter_value(tel, _names.SERVE_CACHE_HITS)
-        cold_misses = counter_value(tel, _names.SERVE_CACHE_MISSES)
+        cold_hits = counter_value(tel, hits)
+        cold_misses = counter_value(tel, misses)
         assert cold_misses >= 2                     # cell + baseline
         handle_predict(dict(PREDICT_BODY))          # warm: hits only
-        assert counter_value(tel, _names.SERVE_CACHE_HITS) \
-            >= cold_hits + 2
-        assert counter_value(tel, _names.SERVE_CACHE_MISSES) == cold_misses
-        snap = tel.metrics.snapshot()
-        assert 0.0 < snap[_names.SERVE_CACHE_HIT_RATE]["value"] <= 1.0
+        assert counter_value(tel, hits) == cold_hits + 2
+        assert counter_value(tel, misses) == cold_misses
 
 
 class TestRecommendHandler:
@@ -590,3 +590,96 @@ class TestRequestObservability:
             >= burning["slo"]["fast_burn_threshold"]
         assert recovered["status"] == "ok"
         assert recovered["slo"]["degraded_objectives"] == []
+
+
+class TestRequestLog:
+    @staticmethod
+    def reference(entries, size):
+        """The board as append, stable sort and truncate would keep it."""
+        recent, slowest = [], []
+        for entry in entries:
+            recent = (recent + [entry])[-size:]
+            slowest = sorted(slowest + [entry],
+                             key=lambda e: -e["duration_s"])[:size]
+        return recent, slowest
+
+    @pytest.mark.parametrize("size", [1, 5, 128])
+    def test_matches_the_sort_and_truncate_reference(self, size):
+        import random
+
+        rng = random.Random(20110913 + size)
+        # Few distinct durations, so ties are common at every rank.
+        entries = [{"request_id": f"r{i}",
+                    "duration_s": rng.choice([0.001, 0.002, 0.002, 0.005,
+                                              0.010, 0.010, 0.250])}
+                   for i in range(600)]
+        log = RequestLog(size)
+        for entry in entries:
+            log.add(entry)
+        recent, slowest = self.reference(entries, size)
+        assert log.total == len(entries)
+        assert log.slowest() == slowest
+        assert log.recent() == list(reversed(recent))
+        assert log.find(slowest[-1]["request_id"]) is slowest[-1]
+
+
+async def close(writer) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except ConnectionError:
+        pass
+
+
+class TestReadTimeouts:
+    """A stalled client is disconnected after ``read_timeout_s``."""
+
+    @staticmethod
+    async def read_until_closed(reader) -> bytes:
+        try:
+            return await asyncio.wait_for(reader.read(), timeout=10)
+        except ConnectionResetError:
+            return b""
+
+    def test_idle_keepalive_connection_is_closed(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            try:
+                body = json.dumps(PREDICT_BODY).encode()
+                writer.write((f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                              f"Content-Length: {len(body)}\r\n\r\n"
+                              ).encode() + body)
+                await writer.drain()
+                status, _, _ = await asyncio.wait_for(
+                    _read_response(reader), timeout=10)
+                loop = asyncio.get_running_loop()
+                idle_from = loop.time()
+                rest = await self.read_until_closed(reader)
+                return status, rest, loop.time() - idle_from
+            finally:
+                await close(writer)
+
+        status, rest, idle_s = run_with_server(scenario, read_timeout_s=0.5)
+        assert status == 200
+        assert rest == b""               # closed, nothing (no 500) written
+        assert 0.25 <= idle_s < 5        # by the deadline, not at once
+
+    def test_stalled_body_is_closed_without_a_response(self):
+        obs.enable(fresh=True)
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            try:
+                writer.write(b"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                             b"Content-Length: 50\r\n\r\n{")
+                await writer.drain()
+                return await self.read_until_closed(reader)
+            finally:
+                await close(writer)
+
+        assert run_with_server(scenario, read_timeout_s=0.3) == b""
+        snap = obs.session().metrics.snapshot()
+        assert _names.SERVE_ERRORS not in snap
+        assert snap.get(_names.SERVE_REQUESTS, {}).get("value", 0) == 0
