@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Micro-benchmark: the flow-cache hit path's per-hit copy cost.
 
-Every cache hit in :func:`repro.runtime.flow._solve_flow_entry` must
+Every flow-cache hit in :mod:`repro.runtime.flow`'s driver must
 return a defensive copy of the cached :class:`FlowResult` (callers may
 hold onto ``controller_utilisation``, and a frozen dataclass shares the
 dict otherwise).  The obvious ``dataclasses.replace(result)`` re-runs

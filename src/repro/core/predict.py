@@ -33,12 +33,7 @@ from repro import obs
 from repro.machine.allocation import CoreAllocation
 from repro.machine.topology import Machine
 from repro.runtime.calibration import calibrate_profile
-from repro.runtime.flow import (
-    FlowResult,
-    batch_solve_enabled,
-    solve_flow,
-    solve_flow_cells,
-)
+from repro.runtime.flow import FlowResult, solve_flow, solve_flow_cells
 from repro.util.validation import ValidationError, check_integer
 from repro.workloads.base import MemoryProfile
 
@@ -230,21 +225,18 @@ def predict_sweep(profile: MemoryProfile, machine: Machine,
     """Predict many allocations of one (profile, machine) in one batch.
 
     Cold cells — including the shared one-core baselines — are pooled
-    through the lock-step batch kernel when sweep batching is enabled,
-    so an allocation enumeration costs one batched fixed point rather
-    than ``2 * len(allocations)`` scalar solves.  Results are
-    bit-identical to per-cell :func:`predict` calls by the batch
-    kernel's own contract.
+    through one :func:`solve_flow_cells` call, so an allocation
+    enumeration costs one lock-step fixed point rather than
+    ``2 * len(allocations)`` single-cell solves.  Results are
+    bit-identical to per-cell :func:`predict` calls: both run the same
+    flow driver.
     """
     if not allocations:
         return []
     cells = flow_cells(profile, machine, allocations)
     with obs.span("flow.solve_batch", machine=machine.name,
                   cells=len(cells)):
-        if batch_solve_enabled():
-            solved = solve_flow_cells(cells)
-        else:
-            solved = [solve_flow(p, m, a) for p, m, a in cells]
+        solved = solve_flow_cells(cells)
     n = len(allocations)
     base_flows = {a.n_threads: flow
                   for (_, _, a), flow in zip(cells[n:], solved[n:])}

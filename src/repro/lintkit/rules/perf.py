@@ -1,11 +1,11 @@
 """Performance rules (``PERF``).
 
-The sweep-batched solver kernel (:mod:`repro.runtime.flow`,
-docs/PERFORMANCE.md) solves every flow cell of a sweep in one lock-step
-batch; experiment drivers that instead call the scalar solver once per
-grid cell inside a loop silently give that win back.  The ``PERF``
-family fences the per-cell pattern out of the experiment drivers,
-where sweeps are the norm and the batch API is one call away.
+The flow driver (:mod:`repro.runtime.flow`, docs/PERFORMANCE.md)
+solves every flow cell of a sweep in one lock-step batch; experiment
+drivers that instead solve one cell per call inside a loop silently
+give that win back.  The ``PERF`` family fences the per-cell pattern
+out of the experiment drivers, where sweeps are the norm and the batch
+API is one call away.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ _PER_CELL_CALLS = {"solve_flow", "measure", "measure_single"}
 #: Callables that route a sweep through the batch kernel — a function
 #: using any of these has consciously arranged its solves.
 _BATCH_CALLS = {"prime", "prime_runs", "sweep", "omega_curve",
-                "solve_flow_batch", "solve_flow_cells"}
+                "solve_flow_cells"}
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
           ast.GeneratorExp)

@@ -36,6 +36,8 @@ class ConvergencePolicy:
         Iteration budget per attempt of the fixed point.
     time_budget_s:
         Optional wall-clock budget per attempt; ``None`` disables it.
+        In a pooled flow attempt (``solve_flow_cells``) it counts the
+        whole pool's wall time, not one cell's share of it.
     dampings:
         New-value weights of the damped update, one per retry of the
         *same* solver stage — the first entry is the normal damping,

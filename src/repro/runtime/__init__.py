@@ -36,11 +36,9 @@ from repro.runtime.detailed import (
 )
 from repro.runtime.flow import (
     FlowResult,
-    batch_solve_enabled,
     cross_package_share,
     smt_paired_fraction,
     solve_flow,
-    solve_flow_batch,
     solve_flow_cells,
 )
 from repro.runtime.measurement import (
@@ -54,9 +52,7 @@ from repro.runtime.noise import NoiseModel
 __all__ = [
     "FlowResult",
     "solve_flow",
-    "solve_flow_batch",
     "solve_flow_cells",
-    "batch_solve_enabled",
     "prime_runs",
     "cross_package_share",
     "smt_paired_fraction",

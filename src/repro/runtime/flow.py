@@ -42,27 +42,23 @@ Three layers keep repeated solves cheap (see docs/PERFORMANCE.md):
   being iterated out (the loop still runs to the usual tolerance, so the
   fixed point reached is the same to within it).
 
-Sweep batching
---------------
+One driver
+----------
 Experiment drivers evaluate whole (machine x workload x allocation)
-grids; :func:`solve_flow_batch` / :func:`solve_flow_cells` run the fixed
-point of *every* grid cell in lock-step: each round assembles the pending
-chain rows of all unconverged cells, solves them in one MVA batch per
-station width, and steps every cell once.  Converged cells freeze while
-stragglers keep iterating.  Per-cell arithmetic is the same
-:class:`_FlowCell` code the scalar path runs — batch results are
-bit-identical to scalar ones by construction — and any cell the batch
-attempt cannot converge falls through to the scalar resilience ladder,
-so watchdogs, degradation events and fault injection keep their exact
-semantics.  The ``REPRO_BATCH_SOLVE`` environment switch (default on)
-lets drivers opt out; see docs/PERFORMANCE.md.
+grids.  :func:`solve_flow_cells` runs the fixed point of *every* cell in
+lock-step: each round assembles the pending chain rows of all
+unconverged cells, solves them in one MVA batch per station width, and
+steps every cell once.  Converged cells freeze while stragglers keep
+iterating.  :func:`solve_flow` is the one-cell call of the same driver,
+so the two entries agree bit for bit.  A cell whose first attempt fails
+walks the rest of the degradation ladder alone, with the same
+watchdogs, degradation events and fault-injection semantics whichever
+entry it came through; see docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
 
-import os
-
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import cast
 
@@ -79,7 +75,6 @@ from repro.perf.cache import (
 from repro.perf.keys import flow_key as _flow_key
 from repro.qnet.mva import (
     bound_throughputs,
-    exact_throughputs,
     exact_throughputs_cells,
     schweitzer_throughputs,
 )
@@ -271,7 +266,8 @@ def solve_flow(profile: MemoryProfile, machine: Machine,
                policy: ConvergencePolicy | None = None) -> FlowResult:
     """Solve the closed network for one allocation; see module docstring.
 
-    Results are memoized in :data:`repro.perf.flow_cache`; a repeat solve
+    It is the one-cell call of the driver :func:`solve_flow_cells` also
+    runs, so the two agree bit for bit.  Results are memoized in :data:`repro.perf.flow_cache`; a repeat solve
     of an identical (machine, profile, allocation) triple returns a copy
     of the cached result (``runtime.flow.solves`` counts actual solves,
     ``perf.cache.flow.hits`` the memoized returns).
@@ -292,106 +288,227 @@ def solve_flow(profile: MemoryProfile, machine: Machine,
     per-cell latency a caller actually experiences, which is what the
     service-level p99 gate watches.
     """
+    cells = [(profile, machine, alloc)]
     tel = _obs_state._active
     if tel is None:
-        return _solve_flow_entry(profile, machine, alloc, policy)
+        return _solve_cells(cells, policy)[0]
     with tel.metrics.timer(_names.LATENCY_FLOW_SOLVE_SECONDS):
-        return _solve_flow_entry(profile, machine, alloc, policy)
+        return _solve_cells(cells, policy)[0]
 
 
-def _solve_flow_entry(profile: MemoryProfile, machine: Machine,
-                      alloc: CoreAllocation,
-                      policy: ConvergencePolicy | None) -> FlowResult:
-    if alloc.machine is not machine and alloc.machine != machine:
-        raise ValidationError("allocation was built for a different machine")
-    use_cache = policy is None and not faultinject.solver_fault_armed(FLOW_SITE)
-    pol = policy if policy is not None else DEFAULT_POLICY
-    key = _flow_key(profile, machine, alloc) if use_cache else None
-    if use_cache:
-        hit = _flow_cache.get(key)
-        if hit is not _MISS:
-            return _copy_cached(hit)
+def solve_flow_cells(
+        cells: "Iterable[tuple[MemoryProfile, Machine, CoreAllocation]]",
+        policy: ConvergencePolicy | None = None) -> list[FlowResult]:
+    """Solve many (profile, machine, allocation) cells in lock-step.
+
+    Results come back in cell order and are bit-identical to calling
+    :func:`solve_flow` once per cell: both entries run one driver.  It
+    consults the flow cache per cell first, solves only the misses and
+    back-fills the cache, so a call interleaves with single-cell calls
+    exactly like a sequential sweep would.  The misses run their first
+    ladder attempt together, pooling their MVA rows on an exact rung; a
+    cell that attempt cannot converge continues down the degradation
+    ladder on its own, with the same retries, events and counters as a
+    single-cell solve.
+
+    Under telemetry the whole call is timed into
+    ``latency.flow.batch_seconds`` and each cell lands one amortized
+    observation in ``latency.flow.solve_seconds`` (the per-cell latency
+    SLO keeps one observation per cell, whichever entry solved it).
+    """
+    cells = list(cells)
+    if not cells:
+        return []
+    tel = _obs_state._active
+    if tel is None:
+        return _solve_cells(cells, policy)
+    timer = tel.metrics.timer(_names.LATENCY_FLOW_BATCH_SECONDS)
+    before = timer.sum
+    with timer:
+        results = _solve_cells(cells, policy)
+    # Amortized per-cell latency, read back from the timer instrument
+    # itself: model code takes no wall-clock reads of its own.
+    each = (timer.sum - before) / len(cells)
+    per_cell = tel.metrics.timer(_names.LATENCY_FLOW_SOLVE_SECONDS)
+    for _ in range(len(cells)):
+        per_cell.observe(each)
+    return results
+
+
+def _solve_cells(
+        cells: "list[tuple[MemoryProfile, Machine, CoreAllocation]]",
+        policy: ConvergencePolicy | None) -> list[FlowResult]:
+    """The one flow driver: resolve cells against the cache, solve misses.
+
+    ``perf.batch.cells`` counts every cell that enters.  A repeat of an
+    earlier miss in the same call (a follower) is answered through the
+    cache once that miss is solved, as in a sequential sweep.
+    """
     tel = _obs_state._active
     if tel is not None:
-        tel.metrics.counter(_names.RUNTIME_FLOW_SOLVES).inc()
-    result = _solve_flow_resilient(profile, machine, alloc, pol)
-    if use_cache:
-        _flow_cache.put(key, result)
-    return result
+        tel.metrics.counter(_names.PERF_BATCH_CELLS).inc(len(cells))
+    use_cache = policy is None \
+        and not faultinject.solver_fault_armed(FLOW_SITE)
+    results: list[FlowResult | None] = [None] * len(cells)
+    keys: list[str | None] = [None] * len(cells)
+    followers: dict[str, list[int]] = {}
+    misses: list[int] = []
+    for i, (profile, machine, alloc) in enumerate(cells):
+        if alloc.machine is not machine and alloc.machine != machine:
+            raise ValidationError(
+                "allocation was built for a different machine")
+        if use_cache:
+            key = keys[i] = _flow_key(profile, machine, alloc)
+            hit = _flow_cache.get(key)
+            if hit is not _MISS:
+                results[i] = _copy_cached(hit)
+                continue
+            if key in followers:
+                followers[key].append(i)
+                continue
+            followers[key] = []
+        misses.append(i)
+    pol = policy if policy is not None else DEFAULT_POLICY
+    while misses:
+        if tel is not None:
+            tel.metrics.counter(_names.RUNTIME_FLOW_SOLVES).inc(len(misses))
+        for i, result in zip(misses, _ladder([cells[i] for i in misses], pol)):
+            results[i] = result
+            if use_cache:
+                _flow_cache.put(keys[i], result)
+        # A follower the cache cannot answer (disabled, or evicted under
+        # us) goes round once more as a miss, as in a sequential sweep.
+        misses = []
+        for key, idxs in followers.items():
+            for i in idxs:
+                hit = _flow_cache.get(key)
+                if hit is _MISS:
+                    misses.append(i)
+                else:
+                    results[i] = _copy_cached(hit)
+        followers = {}
+    return cast("list[FlowResult]", results)
 
 
-def _solve_flow_resilient(profile: MemoryProfile, machine: Machine,
-                          alloc: CoreAllocation,
-                          policy: ConvergencePolicy) -> FlowResult:
-    """Run the attempt schedule of ``policy`` until a rung produces.
+def _ladder(cells: "list[tuple[MemoryProfile, Machine, CoreAllocation]]",
+            policy: ConvergencePolicy) -> list[FlowResult]:
+    """Walk ``cells`` down the attempt schedule of ``policy``.
 
+    Attempt 0 runs every cell at once (``perf.batch.fallbacks`` counts
+    the cells it fails).  Each failed cell continues alone, in cell
+    order, from the next attempt, recording its own events and counters.
     The final rung accepts its last iterate instead of raising, so with
     the default ladder (ending in ``bounds``) this always returns; a
     custom ladder whose last rung still fails propagates that failure.
     """
     attempts = policy.attempts()
     tel = _obs_state._active
-    last_error: SolverError | None = None
-    for i, (solver, damping) in enumerate(attempts):
-        final = i == len(attempts) - 1
-        try:
-            faultinject.maybe_fail_solver(FLOW_SITE, attempt=i)
-            return _solve_flow(profile, machine, alloc, solver=solver,
-                               damping=damping, policy=policy,
-                               accept_nonconverged=final)
-        except SolverError as exc:
-            last_error = exc
+    outcomes = _attempt(cells, policy, 0)
+    if tel is not None:
+        fallbacks = sum(isinstance(o, SolverError) for o in outcomes)
+        if fallbacks:
+            tel.metrics.counter(_names.PERF_BATCH_FALLBACKS).inc(fallbacks)
+    results: list[FlowResult] = []
+    for cell, outcome in zip(cells, outcomes):
+        k = 0
+        while isinstance(outcome, SolverError):
             if tel is not None:
                 tel.metrics.counter(_names.RUNTIME_FLOW_NONCONVERGED).inc()
-            if final:
-                raise
-            next_solver, next_damping = attempts[i + 1]
+            if k == len(attempts) - 1:
+                raise outcome
+            solver, damping = attempts[k]
+            next_solver, next_damping = attempts[k + 1]
             if next_solver == solver:
                 record_event(DegradationEvent(
                     site=FLOW_SITE, action="retry", from_stage=solver,
                     to_stage=next_solver,
                     detail=f"escalating damping {damping:g} -> "
-                           f"{next_damping:g}: {exc.message}"))
+                           f"{next_damping:g}: {outcome.message}"))
             else:
                 record_event(DegradationEvent(
                     site=FLOW_SITE, action="degrade", from_stage=solver,
-                    to_stage=next_solver, detail=exc.message))
-    raise last_error if last_error else AssertionError("empty schedule")
+                    to_stage=next_solver, detail=outcome.message))
+            k += 1
+            outcome = _attempt([cell], policy, k)[0]
+        results.append(outcome)
+    return results
 
 
-def _solve_flow(profile: MemoryProfile, machine: Machine,
-                alloc: CoreAllocation, *, solver: str = "exact",
-                damping: float = 0.5,
-                policy: ConvergencePolicy = DEFAULT_POLICY,
-                accept_nonconverged: bool = False) -> FlowResult:
-    """Scalar driver: build one cell and step it to convergence.
+def _attempt(cells: "list[tuple[MemoryProfile, Machine, CoreAllocation]]",
+             policy: ConvergencePolicy,
+             k: int) -> "list[FlowResult | SolverError]":
+    """Run attempt ``k`` of ``policy`` on every cell; one outcome each.
 
-    The per-iteration arithmetic lives in :class:`_FlowCell`; this loop
-    is the degenerate one-cell instance of the lock-step the batch
-    driver (:func:`solve_flow_cells`) runs, so scalar and batch results
-    agree bit for bit by construction.
+    An outcome is the cell's result or the :class:`SolverError` that
+    failed it; injected faults are checked per cell per attempt.  On an
+    exact rung all cells step in lock-step.  Schweitzer couples its
+    convergence residual across the rows of one call, so on the other
+    rungs cells step one at a time, in cell order.  A wall-clock budget
+    (``ConvergencePolicy.time_budget_s``) runs from the attempt's start,
+    so in a pooled attempt it counts the pool's wall time.
     """
-    cell = _FlowCell(profile, machine, alloc, solver=solver, damping=damping,
-                     policy=policy, accept_nonconverged=accept_nonconverged)
-    while True:
-        rows = cell.assemble()
-        if rows:
-            cell.absorb(_solve_rows(cell.batch_solver, rows))
-        if cell.update():
-            return cell.finalize()
+    attempts = policy.attempts()
+    solver, damping = attempts[k]
+    final = k == len(attempts) - 1
+    outcomes: list = [None] * len(cells)
+    idxs = list(range(len(cells)))
+    pools = [idxs] if solver == "exact" else [[i] for i in idxs]
+    for pool in pools:
+        live: dict[int, _FlowCell] = {}
+        for i in pool:
+            try:
+                faultinject.maybe_fail_solver(FLOW_SITE, attempt=k)
+            except SolverError as exc:
+                outcomes[i] = exc
+                continue
+            live[i] = _FlowCell(*cells[i], solver=solver, damping=damping,
+                                policy=policy, accept_nonconverged=final)
+        _step(live, solver, outcomes)
+    return outcomes
 
 
-def _solve_rows(batch_solver, rows: list[tuple]) -> dict:
+def _step(live: "dict[int, _FlowCell]", solver: str,
+          outcomes: list) -> None:
+    """Step ``live`` cells in lock-step until each converges or fails.
+
+    Each round solves every live cell's pending chain rows in one
+    :func:`_solve_rows` call, then steps every cell once; a cell leaves
+    with its outcome while stragglers keep iterating.
+    """
+    while live:
+        # Rows are keyed by content, so equal keys carry equal rows.
+        rows = {row[0]: row for cell in live.values()
+                for row in cell.assemble()}
+        try:
+            solutions = _solve_rows(solver, list(rows.values())) \
+                if rows else {}
+        except SolverError as exc:
+            # Only Schweitzer raises here, and it never pools cells.
+            for i in live:
+                outcomes[i] = exc
+            return
+        for i, cell in list(live.items()):
+            cell.absorb(solutions)
+            try:
+                if not cell.update():
+                    continue
+                outcomes[i] = cell.finalize()
+            except SolverError as exc:
+                outcomes[i] = exc
+            del live[i]
+
+
+def _solve_rows(solver: str, rows: list[tuple]) -> dict:
     """Solve deduplicated chain rows in stacked batches; memoize each.
 
     ``rows`` are ``(key, population, demands, is_queue, scv)`` tuples as
-    produced by :meth:`_FlowCell.assemble`.  Rows are grouped by station
-    width and stacked into one solver call per width: pooling cells of
-    different machines must never pad a row beyond its own cell's width,
-    because crossing numpy's pairwise-summation block boundaries could
-    change the last ulp of a row's demand sum — the same cache key must
-    map to the same bits no matter which driver (or batch composition)
-    solved it.
+    produced by :meth:`_FlowCell.assemble`; ``solver`` names the ladder
+    rung.  Rows are grouped by station width and stacked into one solver
+    call per width: pooling cells of different machines must never pad
+    a row beyond its own cell's width, because crossing numpy's
+    pairwise-summation block boundaries could change the last ulp of a
+    row's demand sum — the same cache key must map to the same bits no
+    matter which cells shared the batch that solved it.
     """
     out: dict[tuple, float] = {}
     by_width: dict[int, list[tuple]] = {}
@@ -404,10 +521,12 @@ def _solve_rows(batch_solver, rows: list[tuple]) -> dict:
         np.stack([b[4] for b in batch]),
         np.array([b[1] for b in batch]),
     ) for batch in batches]
-    if batch_solver is exact_throughputs:
+    if solver == "exact":
         solved = exact_throughputs_cells(blocks)
+    elif solver == "schweitzer":
+        solved = [schweitzer_throughputs(*block) for block in blocks]
     else:
-        solved = [batch_solver(*block) for block in blocks]
+        solved = [bound_throughputs(*block) for block in blocks]
     for batch, xs in zip(batches, solved):
         for (key, _, _, _, _), xv in zip(batch, xs):
             xv = float(xv)
@@ -427,13 +546,14 @@ class _FlowCell:
       whose MVA solution is not already memoized;
     * :meth:`absorb` hands back the solved throughputs;
     * :meth:`update` applies the damped Jacobi step, returning ``True``
-      once converged (a watchdog trip raises, exactly as the historical
-      single-cell loop did, unless this is the final ladder rung);
+      once converged (a watchdog trip raises unless this is the final
+      ladder rung);
     * :meth:`finalize` turns the fixed point into a :class:`FlowResult`.
 
-    Every floating-point operation — including the iteration order of
-    the utilisation sums — matches the historical inline loop, which is
-    what makes batch solves bit-compatible with scalar ones.
+    A cell's floating-point operations depend only on the cell: pooled
+    rows are deduplicated by content and never padded past their own
+    cell's width, so a cell's result is the same bits whichever cells
+    share its batches.
     """
 
     def __init__(self, profile: MemoryProfile, machine: Machine,
@@ -603,13 +723,6 @@ class _FlowCell:
             })
         width = max(len(c["demands"]) for c in chains)
 
-        #: Per-chain throughput function of the active degradation rung.
-        self.batch_solver = {
-            "exact": exact_throughputs,
-            "schweitzer": schweitzer_throughputs,
-            "bounds": bound_throughputs,
-        }[solver]
-
         self.prev_delta: dict[tuple[int, str], float] | None = None
         self.jumps = 0
         self.dog = Watchdog(FLOW_SITE, max_iterations=policy.max_iterations,
@@ -652,10 +765,9 @@ class _FlowCell:
         """
         contrib = self.contrib
         profile = self.profile
-        # One insertion-order scan of the shared state replaces the
-        # historical per-group dict scans; each group's entries keep
-        # their relative order, so the order-sensitive float sums below
-        # are unchanged bit for bit.
+        # One insertion-order scan of the shared state groups it by
+        # station; each group's entries keep their relative order, which
+        # the order-sensitive float sums below depend on.
         by_group: dict[str, list[tuple[int, float]]] = {}
         for (p, g), v in contrib.items():
             by_group.setdefault(g, []).append((p, v))
@@ -871,182 +983,3 @@ def _tail_jump(contrib: dict, delta: dict, prev_delta: dict) -> bool:
     for key, d_val in delta.items():
         contrib[key] = max(contrib[key] + d_val * gain, 0.0)
     return True
-
-
-# -- sweep-batched driver -----------------------------------------------------
-
-
-def batch_solve_enabled() -> bool:
-    """Whether drivers should route sweeps through the batch kernel.
-
-    Controlled by the ``REPRO_BATCH_SOLVE`` environment switch (default
-    on), mirroring the ``REPRO_PERF_CACHE`` convention; results are
-    bit-identical either way, so the switch only trades wall time.
-    """
-    return os.environ.get("REPRO_BATCH_SOLVE", "1") not in ("0", "false", "")
-
-
-def solve_flow_batch(profile: MemoryProfile, machine: Machine,
-                     allocations: "Sequence[CoreAllocation]",
-                     policy: ConvergencePolicy | None = None
-                     ) -> list[FlowResult]:
-    """Solve one profile/machine for many allocations in lock-step.
-
-    The sweep-shaped convenience form of :func:`solve_flow_cells`;
-    results are returned in allocation order and are bit-identical to
-    calling :func:`solve_flow` per allocation.
-    """
-    return solve_flow_cells(
-        [(profile, machine, alloc) for alloc in allocations], policy)
-
-
-def solve_flow_cells(
-        cells: "Iterable[tuple[MemoryProfile, Machine, CoreAllocation]]",
-        policy: ConvergencePolicy | None = None) -> list[FlowResult]:
-    """Solve many (profile, machine, allocation) cells in lock-step.
-
-    Each round pools every unconverged cell's pending chain rows into
-    stacked MVA batches (grouped by station width, deduplicated by
-    content key), then steps every cell once; converged cells freeze
-    while stragglers keep iterating.  The perf cache is consulted
-    per-cell first, only misses are solved, and solutions are
-    back-filled, so a batch interleaves with scalar calls exactly like a
-    sequential sweep would.  Cells the batch attempt cannot converge —
-    and whole batches under an armed fault injection or a ladder that
-    does not open on the exact rung — fall through to the scalar
-    resilience path with its full retry/degradation semantics.
-
-    Under telemetry the whole batch is timed into
-    ``latency.flow.batch_seconds`` and each cell lands one amortized
-    observation in ``latency.flow.solve_seconds`` (the per-cell latency
-    SLO keeps one observation per cell, whichever path solved it);
-    ``perf.batch.cells`` / ``perf.batch.fallbacks`` count the routing.
-    """
-    cells = list(cells)
-    if not cells:
-        return []
-    tel = _obs_state._active
-    if tel is None:
-        return _solve_flow_cells(cells, policy)
-    timer = tel.metrics.timer(_names.LATENCY_FLOW_BATCH_SECONDS)
-    before = timer.sum
-    with timer:
-        results = _solve_flow_cells(cells, policy)
-    # Amortized per-cell latency, read back from the timer instrument
-    # itself: model code takes no wall-clock reads of its own.
-    each = (timer.sum - before) / len(cells)
-    per_cell = tel.metrics.timer(_names.LATENCY_FLOW_SOLVE_SECONDS)
-    for _ in range(len(cells)):
-        per_cell.observe(each)
-    return results
-
-
-def _solve_flow_cells(
-        cells: "list[tuple[MemoryProfile, Machine, CoreAllocation]]",
-        policy: ConvergencePolicy | None) -> list[FlowResult]:
-    tel = _obs_state._active
-    armed = faultinject.solver_fault_armed(FLOW_SITE)
-    use_cache = policy is None and not armed
-    pol = policy if policy is not None else DEFAULT_POLICY
-    attempts = pol.attempts()
-    first_solver, first_damping = attempts[0]
-    if tel is not None:
-        tel.metrics.counter(_names.PERF_BATCH_CELLS).inc(len(cells))
-    if armed or first_solver != "exact":
-        # Fault plans consume one entry per solve attempt, and ladders
-        # that do not open on the exact rung cannot batch (Schweitzer
-        # couples its convergence residual across rows, so pooling cells
-        # would change results): route every cell through the scalar
-        # entry so attempt accounting and degradation semantics stay
-        # exact.
-        if tel is not None:
-            tel.metrics.counter(_names.PERF_BATCH_FALLBACKS).inc(len(cells))
-        return [_solve_flow_entry(p, m, a, policy) for p, m, a in cells]
-
-    results: list[FlowResult | None] = [None] * len(cells)
-    keys: list[object | None] = [None] * len(cells)
-    followers: dict[object, list[int]] = {}
-    solve_idx: list[int] = []
-    for i, (profile, machine, alloc) in enumerate(cells):
-        if alloc.machine is not machine and alloc.machine != machine:
-            raise ValidationError(
-                "allocation was built for a different machine")
-        if use_cache:
-            key = _flow_key(profile, machine, alloc)
-            keys[i] = key
-            hit = _flow_cache.get(key)
-            if hit is not _MISS:
-                results[i] = _copy_cached(hit)
-                continue
-            if key in followers:
-                # Duplicate cell within this batch: solve the first
-                # occurrence only and resolve the follower through the
-                # cache afterwards, so hit/solve accounting matches a
-                # sequential scalar sweep.
-                followers[key].append(i)
-                continue
-            followers[key] = []
-        solve_idx.append(i)
-
-    live: dict[int, _FlowCell] = {}
-    for i in solve_idx:
-        profile, machine, alloc = cells[i]
-        if tel is not None:
-            tel.metrics.counter(_names.RUNTIME_FLOW_SOLVES).inc()
-        live[i] = _FlowCell(profile, machine, alloc, solver=first_solver,
-                            damping=first_damping, policy=pol,
-                            accept_nonconverged=len(attempts) == 1)
-
-    fallback: list[int] = []
-    while live:
-        rows: dict[tuple, tuple] = {}
-        for cell in live.values():
-            for row in cell.assemble():
-                rows.setdefault(row[0], row)
-        solutions = _solve_rows(exact_throughputs, list(rows.values())) \
-            if rows else {}
-        done: list[int] = []
-        for i, cell in live.items():
-            cell.absorb(solutions)
-            try:
-                converged = cell.update()
-            except SolverError:
-                # The straggler re-enters the scalar resilience ladder
-                # from attempt 0: identical retries, damping escalation,
-                # degradation events and counters as a scalar call.  The
-                # abandoned batch attempt recorded nothing and left only
-                # warm MVA memo entries behind (bit-identical to the
-                # ones the scalar rerun is about to want).
-                fallback.append(i)
-                done.append(i)
-                continue
-            if converged:
-                result = cell.finalize()
-                results[i] = result
-                if use_cache:
-                    _flow_cache.put(keys[i], result)
-                done.append(i)
-        for i in done:
-            del live[i]
-
-    if fallback and tel is not None:
-        tel.metrics.counter(_names.PERF_BATCH_FALLBACKS).inc(len(fallback))
-    for i in fallback:
-        profile, machine, alloc = cells[i]
-        result = _solve_flow_resilient(profile, machine, alloc, pol)
-        if use_cache:
-            _flow_cache.put(keys[i], result)
-        results[i] = result
-
-    if use_cache:
-        for key, idxs in followers.items():
-            for i in idxs:
-                hit = _flow_cache.get(key)
-                if hit is not _MISS:
-                    results[i] = _copy_cached(hit)
-                else:
-                    # The cache was disabled or evicted under us; solve
-                    # the duplicate the way a scalar sweep would have.
-                    p, m, a = cells[i]
-                    results[i] = _solve_flow_entry(p, m, a, policy)
-    return cast("list[FlowResult]", results)

@@ -19,7 +19,7 @@ from repro.machine.topology import Machine
 from repro.obs import names as _names
 from repro.perf.cache import caches_enabled
 from repro.runtime.calibration import calibrate_profile
-from repro.runtime.flow import batch_solve_enabled, solve_flow, solve_flow_cells
+from repro.runtime.flow import solve_flow, solve_flow_cells
 from repro.runtime.noise import NoiseModel
 from repro.util.rng import resolve_rng, spawn_rng
 from repro.util.validation import check_integer
@@ -98,11 +98,10 @@ class MeasurementRun:
         (profile, machine, allocation) cell of the sweep in lock-step
         and back-fills the flow cache, so the per-point :meth:`measure`
         calls that follow are memo hits.  Results are bit-identical to
-        solving per point — the batch kernel shares the scalar path's
-        arithmetic — so this is purely a wall-time optimisation.  A
-        no-op when sweep batching (``REPRO_BATCH_SOLVE``) or the perf
-        cache (``REPRO_PERF_CACHE``) is off: the per-point calls then
-        solve scalar, bit-identically.
+        solving per point — both run the same flow driver — so this is
+        purely a wall-time optimisation.  A no-op when the perf cache
+        (``REPRO_PERF_CACHE``) is off: the per-point calls then solve
+        one cell each, bit-identically.
         """
         prime_runs([(self, core_counts)])
 
@@ -146,11 +145,12 @@ def prime_runs(
     different machines and workloads are pooled into a single lock-step
     batch (``table2`` primes its full machine x program x size grid at
     once).  Entries pair a run with the core counts it is about to
-    measure (``None`` = 1..max).  No-op unless both sweep batching and
-    the perf cache are enabled — the batch back-fills the cache, which
-    is what the later ``measure`` calls consult.
+    measure (``None`` = 1..max).  No-op unless the perf cache is
+    enabled — the batch back-fills the cache, which is what the later
+    ``measure`` calls consult; without it, priming would solve every
+    cell twice.
     """
-    if not (batch_solve_enabled() and caches_enabled()):
+    if not caches_enabled():
         return
     cells = []
     for run, core_counts in runs:

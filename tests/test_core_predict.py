@@ -113,18 +113,6 @@ class TestSweepIdentity:
         assert [dataclasses.asdict(p) for p in batch] \
             == [dataclasses.asdict(p) for p in scalar]
 
-    def test_sweep_with_batching_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SOLVE", "0")
-        machine = MACHINES["intel_uma"]
-        profile = make_profile()
-        allocs = [CoreAllocation.paper_policy(machine, n) for n in (2, 8)]
-        batch = predict_sweep(profile, machine, allocs)
-        monkeypatch.setenv("REPRO_BATCH_SOLVE", "1")
-        perf.clear_caches()
-        again = predict_sweep(profile, machine, allocs)
-        assert [dataclasses.asdict(p) for p in batch] \
-            == [dataclasses.asdict(p) for p in again]
-
     def test_empty_sweep(self):
         assert predict_sweep(make_profile(), MACHINES["intel_uma"], []) == []
 

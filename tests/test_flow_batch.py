@@ -1,12 +1,12 @@
-"""Tests of the sweep-batched flow solver kernel.
+"""Tests of the lock-step flow driver.
 
-The load-bearing property is *bit-identity*: batching flow cells
-through :func:`repro.runtime.flow.solve_flow_cells` must produce the
-exact same floats the scalar :func:`solve_flow` path does — same
-fixed-point trajectory, same MVA recursions, same degradation ladder —
-because the batch kernel is a wall-time optimisation, never a second
-solver.  These tests pin that down for clean cells, degraded cells,
-duplicate cells, fault-injected cells and the cache interplay.
+The load-bearing property is *bit-identity*: pooling flow cells through
+:func:`repro.runtime.flow.solve_flow_cells` must produce the exact same
+floats as one :func:`solve_flow` call per cell — same fixed-point
+trajectory, same MVA recursions, same degradation ladder — because
+pooling is a wall-time optimisation, never a second solver.  These
+tests pin that down for clean, degraded, duplicate and fault-injected
+cells and the cache interplay; tests/test_flow_golden.py freezes values.
 """
 
 import dataclasses
@@ -18,12 +18,7 @@ from repro import obs, perf
 from repro.machine import CoreAllocation, amd_numa, intel_numa, intel_uma
 from repro.obs import names as _names
 from repro.resilience import ConvergencePolicy, faultinject
-from repro.runtime.flow import (
-    batch_solve_enabled,
-    solve_flow,
-    solve_flow_batch,
-    solve_flow_cells,
-)
+from repro.runtime.flow import solve_flow, solve_flow_cells
 from test_flow_properties import make_profile, profiles
 
 MACHINES = {"uma": intel_uma(), "numa": intel_numa(), "amd": amd_numa()}
@@ -51,6 +46,10 @@ def allocs_for(machine, counts):
     return [CoreAllocation.paper_policy(machine, n) for n in counts]
 
 
+def cells_for(profile, machine, allocs):
+    return [(profile, machine, a) for a in allocs]
+
+
 class TestBitIdentity:
     @given(profiles(), st.sampled_from(["uma", "numa", "amd"]),
            st.lists(st.integers(1, 48), min_size=1, max_size=6))
@@ -60,7 +59,7 @@ class TestBitIdentity:
         ns = [1 + (n - 1) % machine.n_cores for n in ns]
         perf.set_enabled(False)
         allocs = allocs_for(machine, ns)
-        batch = solve_flow_batch(profile, machine, allocs)
+        batch = solve_flow_cells(cells_for(profile, machine, allocs))
         scalar = [solve_flow(profile, machine, a) for a in allocs]
         assert_identical(batch, scalar)
 
@@ -99,13 +98,13 @@ class TestBitIdentity:
 class TestDegradedCells:
     def test_ladder_degraded_cells_match_scalar(self):
         # A starved iteration budget forces cells down the degradation
-        # ladder; the batch path must fall back per cell and reproduce
-        # the scalar ladder walk bit for bit (cache off: custom policy).
+        # ladder; the pooled call must reproduce each cell's ladder walk
+        # bit for bit (cache off: custom policy).
         policy = ConvergencePolicy(max_iterations=3)
         machine = MACHINES["numa"]
         p = make_profile(misses=5e9, mlp=16.0, scv=30.0)
         allocs = allocs_for(machine, [1, 6, 12, 24])
-        batch = solve_flow_batch(p, machine, allocs, policy=policy)
+        batch = solve_flow_cells(cells_for(p, machine, allocs), policy=policy)
         scalar = [solve_flow(p, machine, a, policy=policy) for a in allocs]
         assert_identical(batch, scalar)
         assert any(r.solver_stage != "exact" for r in batch), \
@@ -113,8 +112,9 @@ class TestDegradedCells:
 
     def test_mixed_converged_and_degraded_pool(self):
         # Cells that converge within budget finalize in lock-step while
-        # their starved pool-mates re-enter the resilient path.
-        policy = ConvergencePolicy(max_iterations=40)
+        # their starved pool-mate walks the rest of the ladder alone.
+        # (At 40 iterations the hard cell converges too; 8 starves it.)
+        policy = ConvergencePolicy(max_iterations=8)
         machine = MACHINES["numa"]
         easy = make_profile(misses=1e6)
         hard = make_profile(misses=5e9, mlp=16.0, scv=30.0)
@@ -125,7 +125,8 @@ class TestDegradedCells:
         scalar = [solve_flow(p, m, a, policy=policy) for p, m, a in cells]
         assert_identical(batch, scalar)
         stages = {r.solver_stage for r in batch}
-        assert "exact" in stages
+        assert "exact" in stages and len(stages) > 1, \
+            "test profile no longer mixes converged and degraded cells"
 
     def test_degradation_counters_match_scalar(self):
         policy = ConvergencePolicy(max_iterations=3)
@@ -144,27 +145,30 @@ class TestDegradedCells:
                     if k in (_names.RUNTIME_FLOW_SOLVES,
                              _names.RUNTIME_FLOW_NONCONVERGED,
                              _names.QNET_MVA_EXACT_CALLS,
-                             _names.QNET_MVA_SCHWEITZER_CALLS)}
+                             _names.QNET_MVA_SCHWEITZER_CALLS,
+                             _names.PERF_BATCH_FALLBACKS)}
 
         got = counters(
-            lambda: solve_flow_batch(p, machine, allocs, policy=policy))
+            lambda: solve_flow_cells(cells_for(p, machine, allocs),
+                                     policy=policy))
         want = counters(
             lambda: [solve_flow(p, machine, a, policy=policy)
                      for a in allocs])
-        # The abandoned lock-step attempt records nothing; fallback
-        # re-enters from attempt 0, so work counters agree exactly.
+        # A cell's ladder walk and its counters do not depend on its
+        # pool-mates, so work counters agree exactly.
         assert got == want
+        assert got[_names.PERF_BATCH_FALLBACKS] == len(allocs)
 
 
 class TestRoutedCases:
     def test_fault_injection_routes_to_scalar(self):
-        # Injection plans consume one entry per attempt, so the batch
-        # must hand armed cells to the scalar ladder wholesale.
+        # Injection plans depend only on the attempt index, so a plan
+        # fails the same attempts of every cell whichever entry ran it.
         machine = MACHINES["uma"]
         p = make_profile()
         allocs = allocs_for(machine, [1, 4, 8])
         with faultinject.inject(nonconverge={"runtime.flow": 2}):
-            batch = solve_flow_batch(p, machine, allocs)
+            batch = solve_flow_cells(cells_for(p, machine, allocs))
         with faultinject.inject(nonconverge={"runtime.flow": 2}):
             scalar = [solve_flow(p, machine, a) for a in allocs]
         assert_identical(batch, scalar)
@@ -172,21 +176,17 @@ class TestRoutedCases:
         # every cell walks the ladder down to Schweitzer — in both paths.
         assert all(r.solver_stage == "schweitzer" for r in batch)
 
-    def test_non_exact_first_rung_routes_to_scalar(self):
+    def test_non_exact_first_rung_steps_cells_alone(self):
         # Schweitzer couples its residual across rows; a ladder that
-        # starts there cannot be pooled, only delegated.
+        # starts there steps its cells one at a time, never pooled.
         policy = ConvergencePolicy(ladder=("schweitzer", "bounds"))
         machine = MACHINES["numa"]
         p = make_profile()
         allocs = allocs_for(machine, [2, 12])
-        tel = obs.enable(fresh=True)
-        batch = solve_flow_batch(p, machine, allocs, policy=policy)
-        snap = tel.metrics.snapshot()
-        obs.disable()
+        batch = solve_flow_cells(cells_for(p, machine, allocs), policy=policy)
         scalar = [solve_flow(p, machine, a, policy=policy) for a in allocs]
         assert_identical(batch, scalar)
         assert all(r.solver_stage == "schweitzer" for r in batch)
-        assert snap[_names.PERF_BATCH_FALLBACKS]["value"] == len(allocs)
 
 
 class TestCacheInterplay:
@@ -195,7 +195,7 @@ class TestCacheInterplay:
         p = make_profile()
         allocs = allocs_for(machine, [1, 6, 12])
         tel = obs.enable(fresh=True)
-        batch = solve_flow_batch(p, machine, allocs)
+        batch = solve_flow_cells(cells_for(p, machine, allocs))
         solves_after_batch = \
             tel.metrics.snapshot()[_names.RUNTIME_FLOW_SOLVES]["value"]
         later = [solve_flow(p, machine, a) for a in allocs]
@@ -205,7 +205,8 @@ class TestCacheInterplay:
         assert solves_after_batch == len(allocs)
         # The per-point calls were all memo hits: no further solves.
         assert snap[_names.RUNTIME_FLOW_SOLVES]["value"] == solves_after_batch
-        assert snap[_names.PERF_BATCH_CELLS]["value"] == len(allocs)
+        # Every cell enters the one driver, hits included.
+        assert snap[_names.PERF_BATCH_CELLS]["value"] == 2 * len(allocs)
 
     def test_batch_consults_the_cache_first(self):
         machine = MACHINES["numa"]
@@ -233,15 +234,3 @@ class TestCacheInterplay:
         assert first.controller_utilisation \
             is not second.controller_utilisation
 
-
-class TestEnvSwitch:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_SOLVE", raising=False)
-        assert batch_solve_enabled()
-
-    @pytest.mark.parametrize("off", ["0", "false", ""])
-    def test_disabled_values(self, monkeypatch, off):
-        monkeypatch.setenv("REPRO_BATCH_SOLVE", off)
-        assert not batch_solve_enabled()
-        monkeypatch.setenv("REPRO_BATCH_SOLVE", "1")
-        assert batch_solve_enabled()
