@@ -28,7 +28,7 @@ cautions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -111,8 +111,6 @@ def fit_channel_aware(samples: Mapping[int, CounterSample],
     the sampled in-package points.  Same data, one extra piece of
     hardware knowledge.
     """
-    from scipy.optimize import minimize
-
     from repro.core.uniproc import fit_single_processor
 
     if 1 not in samples:
@@ -146,11 +144,80 @@ def fit_channel_aware(samples: Mapping[int, CounterSample],
     # Start from the base fit; nudge L inside the stability region.
     ell0 = min(base.ell, 0.9 * base.mu / n_max) if base.ell > 0 \
         else 0.01 * base.mu / n_max
-    res = minimize(loss, x0=np.array([base.mu, ell0]),
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-12,
-                            "maxiter": 4000})
-    mu_total, ell = float(res.x[0]), float(max(res.x[1], 0.0))
+    x = _nelder_mead(loss, np.array([base.mu, ell0]),
+                     xatol=1e-12, fatol=1e-12, maxiter=4000)
+    mu_total, ell = float(x[0]), float(max(x[1], 0.0))
     if mu_total <= 0:
         raise ModelError("extended fit collapsed to non-positive capacity")
     return build(mu_total, ell)
+
+
+def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
+                 xatol: float, fatol: float, maxiter: int) -> np.ndarray:
+    """Minimise ``func`` from ``x0`` with the Nelder-Mead simplex method.
+
+    A transcription of scipy 1.17's ``_minimize_neldermead`` for the
+    options used here: no bounds, the standard coefficients, 5% initial
+    steps (0.00025 for a zero coordinate) and no cap on evaluations.
+    The same numpy expressions run in the same order, so the iterates
+    are bit-identical to ``scipy.optimize.minimize(func, x0,
+    method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol,
+    "maxiter": maxiter})``.  Returns the best vertex.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).flatten()
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = func(sim[k])
+    # scipy sorts the initial simplex twice; argsort need not be stable
+    # on ties, so both sorts are kept.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:   # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:                # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = func(xcc)
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0]

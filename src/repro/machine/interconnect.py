@@ -17,8 +17,6 @@ remote access:
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.util.units import Frequency, ns_to_cycles
 from repro.util.validation import (
     ValidationError,
@@ -56,24 +54,23 @@ class Interconnect:
             check_positive("link_bandwidth_bytes_per_s",
                            link_bandwidth_bytes_per_s)
         self.link_bandwidth_bytes_per_s = link_bandwidth_bytes_per_s
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(nodes)
+        adjacency: dict[int, list[int]] = {node: [] for node in nodes}
         for a, b in edges:
-            if a not in self.graph or b not in self.graph:
+            if a not in adjacency or b not in adjacency:
                 raise ValidationError(f"edge ({a}, {b}) references unknown node")
             if a == b:
                 raise ValidationError(f"self-loop on node {a}")
-            self.graph.add_edge(a, b)
-        if len(nodes) > 1 and not nx.is_connected(self.graph):
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        self._dist = {src: _bfs_hops(adjacency, src) for src in adjacency}
+        if any(len(row) < len(adjacency) for row in self._dist.values()):
             raise ValidationError("interconnect must be connected")
-        self._dist = dict(nx.all_pairs_shortest_path_length(self.graph))
 
     def __cache_tokens__(self) -> dict:
         """Value identity for solver cache keys (see ``repro.perf.keys``).
 
         The hop-distance matrix plus the latency/bandwidth parameters
-        fully determine this object's observable behaviour; the graph
-        library's internal structures stay out of the key.
+        fully determine this object's observable behaviour.
         """
         return {
             "hop_latency_ns": self.hop_latency_ns,
@@ -83,7 +80,7 @@ class Interconnect:
 
     @property
     def nodes(self) -> list[int]:
-        return sorted(self.graph.nodes)
+        return sorted(self._dist)
 
     def hops(self, src: int, dst: int) -> int:
         """Number of links between controllers ``src`` and ``dst``."""
@@ -116,16 +113,28 @@ class Interconnect:
         The paper reports these as "direct, one hop" (Intel) and "direct,
         one hop and two hops" (AMD).
         """
-        seen = set()
-        for src in self.graph.nodes:
-            for dst in self.graph.nodes:
-                seen.add(self.hops(src, dst))
-        return sorted(seen)
+        return sorted({hops for row in self._dist.values()
+                       for hops in row.values()})
 
     def mean_hops_from(self, src: int) -> float:
         """Average hops from ``src`` to every node (including itself)."""
         nodes = self.nodes
         return sum(self.hops(src, d) for d in nodes) / len(nodes)
+
+
+def _bfs_hops(adjacency: dict[int, list[int]], src: int) -> dict[int, int]:
+    """Hop count from ``src`` to every node it reaches, in BFS order."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for peer in adjacency[node]:
+                if peer not in dist:
+                    dist[peer] = dist[node] + 1
+                    nxt.append(peer)
+        frontier = nxt
+    return dist
 
 
 def intel_numa_interconnect(hop_latency_ns: float = 32.0,

@@ -66,14 +66,14 @@ def _tokens(obj: object, out: list[str]) -> None:
     elif isinstance(obj, (bytes, bytearray)):
         out.append(bytes(obj).hex())
     elif hasattr(obj, "__cache_tokens__"):
-        # Objects wrapping non-canonicalisable state (e.g. a graph
-        # library's structures) expose their value identity explicitly.
+        # Objects that name their value identity explicitly (e.g.
+        # Interconnect: hop distances and link parameters).
         out.append(type(obj).__name__)
         _tokens(obj.__cache_tokens__(), out)
     elif hasattr(obj, "__dict__"):
-        # Plain value objects (e.g. Interconnect): canonicalise their
-        # attribute dict.  Private/computed attributes participate too,
-        # which is conservative — at worst it splits a would-be hit.
+        # Plain value objects: canonicalise their attribute dict.
+        # Private/computed attributes participate too, which is
+        # conservative — at worst it splits a would-be hit.
         out.append(type(obj).__name__)
         _tokens(vars(obj), out)
     else:

@@ -10,7 +10,6 @@ from repro.util.stats import (
     RunningStats,
     coefficient_of_variation,
     geometric_mean,
-    mean_confidence_interval,
     mean_relative_error,
     r_squared,
     relative_error,
@@ -55,7 +54,6 @@ __all__ = [
     "MICRO",
     "NANO",
     "RunningStats",
-    "mean_confidence_interval",
     "relative_error",
     "mean_relative_error",
     "r_squared",

@@ -79,28 +79,6 @@ class RunningStats:
         return self._max
 
 
-def mean_confidence_interval(samples: Sequence[float],
-                             confidence: float = 0.95) -> tuple[float, float]:
-    """Return ``(mean, half_width)`` of a normal-approximation CI.
-
-    The paper averages five runs per configuration; this mirrors that
-    reporting.  With fewer than two samples the half width is zero.
-    """
-    xs = np.asarray(samples, dtype=float)
-    if xs.size == 0:
-        raise ValidationError("mean_confidence_interval requires samples")
-    mean = float(xs.mean())
-    if xs.size < 2:
-        return mean, 0.0
-    # Normal quantile via scipy-free approximation is unnecessary; scipy is a
-    # declared dependency.
-    from scipy import stats as _st
-
-    sem = float(xs.std(ddof=1)) / math.sqrt(xs.size)
-    q = float(_st.t.ppf(0.5 + confidence / 2.0, df=xs.size - 1))
-    return mean, q * sem
-
-
 def relative_error(predicted: float, measured: float) -> float:
     """|predicted - measured| / |measured|.
 

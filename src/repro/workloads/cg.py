@@ -12,8 +12,9 @@ paper's representative program.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-from scipy import sparse
 
 from repro.util.rng import resolve_rng
 from repro.util.validation import ValidationError, check_integer
@@ -36,12 +37,57 @@ _BURST = {
 }
 
 
-def make_sparse_spd(n: int, nonzer: int, rng=None) -> sparse.csr_matrix:
+class CSRMatrix(NamedTuple):
+    """A square sparse matrix in compressed-sparse-row form."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _sum_duplicates(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                    drop_zeros: bool
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO triplets sorted by (row, col), duplicates summed.
+
+    Duplicates are added left to right in input order, as scipy's
+    ``csr_sum_duplicates`` adds them; ``np.add.reduceat`` would group a
+    run of three or more as ``a0 + (a1 + a2)``, which can round
+    differently.  ``drop_zeros`` removes entries that sum to exactly
+    zero, as a sparse add does.
+    """
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    runs = np.diff(np.append(starts, rows.size))
+    sums = vals[starts]
+    for k in range(1, int(runs.max(initial=1))):
+        more = runs > k
+        sums[more] += vals[starts[more] + k]
+    rows, cols = rows[starts], cols[starts]
+    if drop_zeros:
+        keep = sums != 0
+        rows, cols, sums = rows[keep], cols[keep], sums[keep]
+    return rows, cols, sums
+
+
+def _indptr(n: int, rows: np.ndarray) -> np.ndarray:
+    """CSR row pointer of sorted row indices."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def make_sparse_spd(n: int, nonzer: int, rng=None) -> CSRMatrix:
     """Random sparse symmetric positive-definite matrix, ~``nonzer``/row.
 
     Built as ``M = S + S^T + d I`` with ``S`` random sparse and ``d`` large
     enough to dominate (diagonally dominant => SPD), echoing NPB CG's
-    ``makea`` construction of a matrix with known spectrum.
+    ``makea`` construction of a matrix with known spectrum.  Each step
+    rounds as scipy.sparse's ``coo -> csr``, ``+`` and ``sum(axis=1)``
+    do, so the matrix is bit-identical to that construction.
     """
     check_integer("n", n, minimum=2)
     check_integer("nonzer", nonzer, minimum=1)
@@ -50,12 +96,20 @@ def make_sparse_spd(n: int, nonzer: int, rng=None) -> sparse.csr_matrix:
     rows = rng.integers(0, n, size=nnz)
     cols = rng.integers(0, n, size=nnz)
     vals = rng.random(nnz) - 0.5
-    s = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    m = s + s.T
+    rows, cols, vals = _sum_duplicates(rows, cols, vals, drop_zeros=False)
+    rows, cols, vals = _sum_duplicates(
+        np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+        np.concatenate([vals, vals]), drop_zeros=True)
     # Diagonal dominance: row sums of absolute values plus margin.
-    row_abs = np.asarray(abs(m).sum(axis=1)).ravel()
-    m = m + sparse.diags(row_abs + 0.1)
-    return m.tocsr()
+    indptr = _indptr(n, rows)
+    row_abs = np.zeros(n)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    row_abs[nonempty] = np.add.reduceat(np.abs(vals), indptr[nonempty])
+    diag = np.arange(n)
+    rows, cols, vals = _sum_duplicates(
+        np.concatenate([rows, diag]), np.concatenate([cols, diag]),
+        np.concatenate([vals, row_abs + 0.1]), drop_zeros=True)
+    return CSRMatrix(_indptr(n, rows), cols, vals)
 
 
 def csr_matvec(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
@@ -78,7 +132,7 @@ def csr_matvec(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return out
 
 
-def conjugate_gradient(a: sparse.csr_matrix, b: np.ndarray,
+def conjugate_gradient(a: CSRMatrix, b: np.ndarray,
                        iterations: int = 25) -> tuple[np.ndarray, float]:
     """Fixed-iteration CG solve (NPB CG's inner loop shape).
 
@@ -106,7 +160,7 @@ def conjugate_gradient(a: sparse.csr_matrix, b: np.ndarray,
     return z, float(np.linalg.norm(resid))
 
 
-def power_iteration_zeta(a: sparse.csr_matrix, shift: float,
+def power_iteration_zeta(a: CSRMatrix, shift: float,
                          outer: int = 5, inner: int = 25) -> float:
     """NPB CG's eigenvalue estimate ``zeta = shift + 1/(x . z)``.
 
@@ -114,8 +168,7 @@ def power_iteration_zeta(a: sparse.csr_matrix, shift: float,
     ``inner`` CG iterations (the NPB formulation with the shift folded
     into the final estimate).
     """
-    n = a.shape[0]
-    x = np.ones(n)
+    x = np.ones(a.indptr.size - 1)
     zeta = 0.0
     for _ in range(outer):
         z, _ = conjugate_gradient(a, x, iterations=inner)

@@ -5,6 +5,7 @@ documented, deterministic under seeds, and the shipped examples run.
 """
 
 import importlib
+import os
 import pathlib
 import subprocess
 import sys
@@ -65,6 +66,36 @@ class TestDeterminism:
         a = BurstSampler(inuma).sample("CG", "A", n_windows=2000, rng=7)
         b = BurstSampler(inuma).sample("CG", "A", n_windows=2000, rng=7)
         assert (a.counts == b.counts).all()
+
+
+_HYGIENE_SCRIPT = """
+import sys
+import repro, repro.cli, repro.serve
+from repro.experiments.runner import run_experiment
+from repro.serve.service import handle_predict
+
+status, _ = handle_predict({"machine": "intel_uma", "program": "CG",
+                            "size": "C", "n_active": 4})
+assert status == 200, status
+assert run_experiment("ablation_extended", fast=True).ok
+assert run_experiment("table1").ok
+print(sorted(k for k in sys.modules
+             if k.split(".")[0] in ("scipy", "networkx")))
+"""
+
+
+class TestImportPath:
+    def test_runtime_needs_neither_scipy_nor_networkx(self):
+        # numpy is the only runtime dependency: a fresh interpreter that
+        # imports the CLI and the server, answers a prediction, fits the
+        # channel-aware model and runs every kernel loads neither package.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", _HYGIENE_SCRIPT], capture_output=True,
+            text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 EXAMPLES = sorted(

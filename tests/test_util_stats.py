@@ -8,7 +8,6 @@ from repro.util.stats import (
     RunningStats,
     coefficient_of_variation,
     geometric_mean,
-    mean_confidence_interval,
     mean_relative_error,
     r_squared,
     relative_error,
@@ -45,26 +44,6 @@ class TestRunningStats:
         assert acc.mean == pytest.approx(float(np.mean(xs)), abs=1e-6)
         assert acc.variance == pytest.approx(
             float(np.var(xs, ddof=1)), rel=1e-6, abs=1e-6)
-
-
-class TestConfidenceInterval:
-    def test_zero_width_single_sample(self):
-        mean, half = mean_confidence_interval([4.2])
-        assert mean == 4.2
-        assert half == 0.0
-
-    def test_contains_true_mean_usually(self, rng):
-        hits = 0
-        for _ in range(50):
-            xs = rng.normal(10.0, 1.0, size=20)
-            mean, half = mean_confidence_interval(xs, confidence=0.95)
-            if abs(mean - 10.0) <= half:
-                hits += 1
-        assert hits >= 40  # ~95% coverage with slack
-
-    def test_empty_raises(self):
-        with pytest.raises(ValidationError):
-            mean_confidence_interval([])
 
 
 class TestRelativeError:
