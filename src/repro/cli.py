@@ -45,11 +45,11 @@ Commands
     Regenerate the shipped calibration table from the Table II anchors.
 ``repro topology``
     Print likwid-style topology of the three simulated testbeds.
-``repro lint [PATH] [--format text|json|github] [--baseline FILE]``
-    Run the domain lint rules (see docs/LINTING.md); exits 1 on any
-    error-severity finding.  ``--write-baseline`` records the current
-    findings as grandfathered; ``--changed`` replays cached findings
-    for unchanged files (incremental mode).
+``repro lint [PATH...] [--format text|json|github] [--changed]``
+    Run the domain lint rules over every path given (default
+    ``src/repro``; see docs/LINTING.md); exits 1 on any error-severity
+    finding and 2 on a path that does not exist.  ``--changed`` replays
+    cached findings for unchanged files (incremental mode).
 ``repro serve [--port P] [--host H] [--workers N]``
     Run the contention-prediction HTTP service (docs/SERVING.md).
 ``repro slo [--url URL]``
@@ -253,31 +253,20 @@ def _cmd_doctor(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    import os
-
     from repro import lintkit
 
-    if args.target:
-        targets = [args.target]
-    elif os.path.isdir("src/repro"):
-        targets = ["src/repro"]
-    else:
-        targets = None  # fall back to [tool.reprolint] paths / defaults
-    config = lintkit.load_config(os.getcwd())
-    report = lintkit.lint_paths(targets, config,
-                                baseline_path=args.baseline,
-                                incremental=args.changed)
+    targets = [t for t in [args.target, *args.extra] if t is not None]
+    try:
+        report = lintkit.lint_paths(targets or ["src/repro"],
+                                    incremental=args.changed)
+    except FileNotFoundError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
     if args.changed:
         print(f"lint cache: {report.cache_hits} hit"
               f"{'' if report.cache_hits == 1 else 's'}, "
               f"{report.cache_misses} miss"
               f"{'' if report.cache_misses == 1 else 'es'}")
-    if args.write_baseline:
-        path = args.baseline or config.baseline or "lint-baseline.json"
-        n = lintkit.write_baseline(report, path)
-        print(f"baseline written to {path} ({n} entr"
-              f"{'y' if n == 1 else 'ies'})")
-        return 0
     print(lintkit.render(report, args.format))
     return report.exit_code()
 
@@ -580,12 +569,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "target", nargs="?", default=None,
         help="experiment name for 'repro profile/hotspots <experiment>', "
-             "the path to scan for 'repro lint [PATH]', or the first run "
-             "spec for 'repro diff'")
+             "the first path to scan for 'repro lint [PATH...]', or the "
+             "first run spec for 'repro diff'")
     parser.add_argument(
         "extra", nargs="*", default=[],
-        help="second run spec for 'repro diff A B', or further "
-             "experiment names for 'repro doctor'")
+        help="second run spec for 'repro diff A B', further paths to "
+             "scan for 'repro lint', or further experiment names for "
+             "'repro doctor'")
     parser.add_argument("--fast", action="store_true",
                         help="smaller sweeps / fewer samples")
     parser.add_argument("--seed", type=int, default=None,
@@ -670,12 +660,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("text", "json", "github"),
                         help="lint report format: text, json or github "
                              "(workflow annotations)")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help="lint baseline file overriding "
-                             "[tool.reprolint] baseline")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="record current lint findings as the baseline "
-                             "instead of failing on them")
     parser.add_argument("--changed", action="store_true",
                         help="lint incrementally: replay cached findings "
                              "for unchanged files (.repro/lintcache.json)")

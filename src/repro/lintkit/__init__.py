@@ -1,32 +1,29 @@
 """repro.lintkit — domain-aware static analysis for the reproduction.
 
 An AST-based lint engine with a decorator-registered rule set enforcing
-the invariants the type system cannot see: determinism (``DET``), unit
-safety (``UNT``), cache purity (``PUR``), desim scheduling (``SIM``) and
-telemetry hygiene (``TEL``).  One ``ast.parse`` per file is shared by
-every rule; findings respect inline ``# reprolint: disable=ID``
-suppressions and a committed JSON baseline.
+the invariants the type system cannot see: determinism (``DET``), cache
+purity (``PUR``), concurrency safety (``CONC``), telemetry hygiene
+(``TEL``), batch hygiene (``PERF``) and desim event ordering (``SIM``).
+One ``ast.parse`` per file is shared by every rule; findings respect
+inline ``# reprolint: disable=ID`` suppressions.
 
 Run it via the CLI::
 
-    repro lint [PATH] [--format text|json|github] [--baseline FILE]
+    repro lint [PATH...] [--format text|json|github] [--changed]
 
 or programmatically::
 
     from repro import lintkit
 
-    config = lintkit.load_config(".")
-    report = lintkit.lint_paths(["src/repro"], config)
+    report = lintkit.lint_paths(["src/repro"])
     print(lintkit.render(report, "text"))
     raise SystemExit(report.exit_code())
 
-See docs/LINTING.md for the rule catalogue and the suppression/baseline
-workflow.
+See docs/LINTING.md for the rule catalogue, why each rule stays, and
+the suppression workflow.
 """
 
-from repro.lintkit.baseline import load_baseline, write_baseline
 from repro.lintkit.cache import DEFAULT_CACHE_PATH, LintCache
-from repro.lintkit.config import LintConfig, load_config
 from repro.lintkit.core import (
     RULE_REGISTRY,
     FileContext,
@@ -38,11 +35,9 @@ from repro.lintkit.core import (
     register,
 )
 from repro.lintkit.engine import (
-    ProjectContext,
     iter_python_files,
     lint_file,
     lint_paths,
-    resolve_rules,
     rules_fingerprint,
 )
 from repro.lintkit.reporters import (
@@ -56,10 +51,7 @@ from repro.lintkit.reporters import (
 __all__ = [
     "Severity", "Finding", "FileContext", "Rule", "LintReport",
     "RULE_REGISTRY", "register", "all_rules",
-    "LintConfig", "load_config",
-    "iter_python_files", "lint_file", "lint_paths", "resolve_rules",
-    "ProjectContext", "rules_fingerprint",
+    "iter_python_files", "lint_file", "lint_paths", "rules_fingerprint",
     "LintCache", "DEFAULT_CACHE_PATH",
-    "load_baseline", "write_baseline",
     "FORMATS", "render", "render_text", "render_json", "render_github",
 ]

@@ -5,8 +5,8 @@ file's findings *and* its symbol summary are persisted keyed on the
 SHA-256 of the file's bytes, and the whole store is additionally keyed
 on two fingerprints:
 
-* the **rules fingerprint** — rule ids, severities and the lint config —
-  so upgrading the linter or flipping a severity invalidates everything;
+* the **rules fingerprint** — rule ids, severities and path scopes —
+  so upgrading the linter invalidates everything;
 * the **project fingerprint** — the symbol-index hash over every file's
   summary (see :mod:`repro.lintkit.dataflow.symbols`) — so tier-2
   findings are only reused while the cross-module facts they depended on
@@ -15,9 +15,8 @@ on two fingerprints:
   re-lints, every other file's findings replay from the cache.
 
 A warm run on an unchanged tree therefore does no parsing at all: it
-hashes bytes, replays findings, and re-applies the baseline — well under
-a second on this tree, which is the pre-commit budget the CI job
-asserts.
+hashes bytes and replays findings — well under a second on this tree,
+which is the pre-commit budget the CI job records.
 
 Cache corruption is never fatal: any unreadable/mismatched state is
 treated as a cold cache.

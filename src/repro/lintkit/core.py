@@ -6,9 +6,9 @@ themselves with the :func:`register` decorator; the engine instantiates
 every registered rule once per run and hands each one the *same* parsed
 AST per file (one ``ast.parse`` per file, shared by all rules).
 
-Rules never read files or configuration themselves — everything they
-need (source text, AST, the path relative to the scan root) arrives on
-the :class:`FileContext`.
+Rules never read files themselves — everything they need (source
+text, AST, the path relative to the scan root, the cross-module symbol
+index) arrives on the :class:`FileContext`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,10 @@ from __future__ import annotations
 import ast
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from repro.lintkit.dataflow.symbols import SymbolIndex
 
 
 class Severity(enum.IntEnum):
@@ -43,8 +46,8 @@ class Severity(enum.IntEnum):
 class Finding:
     """One diagnostic anchored to ``path:line:col``.
 
-    ``snippet`` is the stripped source line, used by the baseline to
-    re-identify a grandfathered finding even after unrelated lines move.
+    ``snippet`` is the stripped source line, carried into the JSON
+    report and the incremental cache.
     """
 
     rule_id: str
@@ -55,12 +58,11 @@ class Finding:
     message: str
     snippet: str = ""
     suppressed: bool = False
-    baselined: bool = False
 
     @property
     def visible(self) -> bool:
-        """True when neither an inline suppression nor the baseline hides it."""
-        return not (self.suppressed or self.baselined)
+        """True unless an inline suppression hides it."""
+        return not self.suppressed
 
     def anchor(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -75,15 +77,11 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by the incremental cache).
-
-        ``baselined`` is deliberately dropped: the baseline is re-applied
-        per run, a cached grandfathering must not outlive the file."""
+        """Inverse of :meth:`to_dict` (used by the incremental cache)."""
         return cls(
             rule_id=data["rule"],
             severity=Severity.from_str(data["severity"]),
@@ -97,19 +95,21 @@ class Finding:
 
 
 class FileContext:
-    """Everything the rules see for one file: source, shared AST, config."""
+    """Everything the rules see for one file: source, shared AST and
+    the project's symbol index."""
 
     def __init__(self, path: str, relpath: str, source: str,
-                 tree: ast.Module, project: "object | None" = None) -> None:
+                 tree: ast.Module,
+                 project: SymbolIndex | None = None) -> None:
         self.path = path
         #: Posix-style path relative to the scan invocation; what findings
-        #: report and what allow-lists/baselines match against.
+        #: report and what ``only``/``default_allow`` match against.
         self.relpath = relpath
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-        #: The engine's cross-file view (symbol index + unit registry)
-        #: for tier-2 rules; ``None`` under tier-1-only invocations.
+        #: The engine's cross-file :class:`SymbolIndex` for tier-2 rules;
+        #: ``None`` under tier-1-only invocations.
         self.project = project
         self._cfgs: dict[int, object] = {}
 
@@ -159,13 +159,12 @@ class Rule:
     ``name``
         Short kebab-case name shown in the catalogue.
     ``severity``
-        Default severity (config may override per rule).
+        Severity of every finding the rule yields.
     ``description``
         One-line rationale shown by reporters and docs.
     ``default_allow``
         Path fragments (posix) where this rule never applies — the
-        modules that legitimately own the flagged construct.  Extended by
-        ``[tool.reprolint.allow]``.
+        modules that legitimately own the flagged construct.
     ``only``
         When non-empty, the rule *only* runs on files matching one of
         these path fragments (used by domain-scoped rules such as the
@@ -173,8 +172,8 @@ class Rule:
     ``tier``
         ``1`` for single-pass syntactic rules, ``2`` for dataflow rules
         needing the CFG/abstract-interpretation machinery and the
-        cross-module symbol index (``ctx.project``).  The engine only
-        builds the project view when a tier-2 rule is enabled, and
+        cross-module symbol index (``ctx.project``).  :func:`lint_file`
+        only builds an index when it is handed a tier-2 rule, and
         ``repro lint --changed`` keys its incremental cache on the
         index fingerprint so tier-2 results stay sound across edits.
     """
@@ -189,11 +188,6 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:  # pragma: no cover
         raise NotImplementedError
-
-    def with_severity(self, severity: Severity) -> "Rule":
-        clone = type(self)()
-        clone.severity = severity
-        return clone
 
 
 #: All registered rule classes, keyed by rule id.
@@ -267,10 +261,6 @@ class LintReport:
     @property
     def suppressed_count(self) -> int:
         return sum(1 for f in self.findings if f.suppressed)
-
-    @property
-    def baselined_count(self) -> int:
-        return sum(1 for f in self.findings if f.baselined)
 
     @property
     def has_errors(self) -> bool:

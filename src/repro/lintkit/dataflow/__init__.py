@@ -4,10 +4,9 @@ The syntactic rules (tier 1) look at one AST node at a time; the rules
 built on this package (tier 2) reason about *flow*: a per-function
 control-flow graph (:mod:`cfg`), a small forward abstract-interpretation
 engine over join-semilattice environments (:mod:`lattice`,
-:mod:`fixpoint`), a cross-module symbol index so rules can resolve
-calls, imports and thread targets across ``src/repro`` (:mod:`symbols`),
-and a unit-signature registry seeding physical dimensions for the
-``UNT1xx`` inference rules (:mod:`unitsig`).
+:mod:`fixpoint`), and a cross-module symbol index so rules can resolve
+calls, imports and thread targets across ``src/repro`` (:mod:`symbols`).
+``PUR100`` runs on the first three, the ``CONC`` rules on the index.
 
 Everything here is stdlib-only and deliberately small: the CFG models
 exactly the control constructs the rules need (branches, loops with
@@ -25,26 +24,10 @@ from repro.lintkit.dataflow.symbols import (
     SymbolIndex,
     module_name_for,
 )
-from repro.lintkit.dataflow.unitsig import (
-    CYCLES,
-    DIMENSIONLESS,
-    HERTZ,
-    RATE,
-    REQUESTS,
-    SECONDS,
-    Dim,
-    UnitRegistry,
-    UnitSignature,
-    lexical_dim,
-    parse_signature,
-)
 
 __all__ = [
     "CFG", "BasicBlock", "build_cfg",
     "ForwardAnalysis",
     "TOP", "Env", "join_env", "join_value",
     "FunctionInfo", "ModuleInfo", "SymbolIndex", "module_name_for",
-    "Dim", "UnitRegistry", "UnitSignature", "lexical_dim",
-    "parse_signature",
-    "CYCLES", "SECONDS", "HERTZ", "REQUESTS", "RATE", "DIMENSIONLESS",
 ]

@@ -25,8 +25,7 @@ one-armed ``if``.  ⊤ absorbs everything and the domains treat it as
 
 Environments are plain dicts so the fixpoint engine can copy them with
 ``dict(env)`` and detect convergence with ``==``; domain values must be
-hashable and compare by value (frozensets, the frozen
-:class:`~repro.lintkit.dataflow.unitsig.Dim` dataclass, strings).
+hashable and compare by value (frozensets, numbers, strings).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Cached cross-module symbol index over the linted tree.
 
 Tier-2 rules need facts no single file contains: is this function a
-``threading.Thread`` target three modules away?  does this call resolve
-to a registered unit signature?  The :class:`SymbolIndex` answers those
+``threading.Thread`` target three modules away?  is this function
+submitted to a process pool?  The :class:`SymbolIndex` answers those
 from per-module *summaries* — a compact, JSON-able digest of each
 module's definitions, imports, call edges and concurrency entry points.
 

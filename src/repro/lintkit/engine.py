@@ -2,17 +2,17 @@
 
 One run: discover Python files under the targets, ``ast.parse`` each
 file exactly once, hand the shared tree to every applicable rule, then
-fold in inline suppressions and the committed baseline.  Syntax errors
-become ``PARSE001`` findings rather than aborting the run, so one broken
-file cannot hide findings in the rest of the tree.
+fold in inline suppressions.  A target that does not exist raises
+:class:`FileNotFoundError`; syntax errors become ``PARSE001`` findings
+rather than aborting the run, so one broken file cannot hide findings in
+the rest of the tree.
 
 Two analysis tiers share that single parse.  Tier 1 is the syntactic
-rule set; tier 2 (the ``UNT1xx``/``CONC``/``PUR100`` families) runs the
-dataflow machinery and needs the *project view* — a cross-module
-:class:`~repro.lintkit.dataflow.symbols.SymbolIndex` plus the unit
-registry — which the engine builds once per run from every scanned
-file's summary and attaches to each :class:`FileContext` as
-``ctx.project``.
+rule set; tier 2 (``CONC`` and ``PUR100``) runs the dataflow machinery
+and needs the cross-module
+:class:`~repro.lintkit.dataflow.symbols.SymbolIndex`, which the engine
+builds once per run from every scanned file's summary and attaches to
+each :class:`FileContext` as ``ctx.project``.
 
 ``lint_paths(..., incremental=True)`` (the CLI's ``--changed`` mode)
 adds the content-hash cache of :mod:`repro.lintkit.cache`: unchanged
@@ -29,9 +29,7 @@ import json
 import os
 
 from repro.lintkit import rules as _rules  # noqa: F401  (registers rules)
-from repro.lintkit.baseline import apply_baseline, load_baseline
 from repro.lintkit.cache import DEFAULT_CACHE_PATH, LintCache, file_digest
-from repro.lintkit.config import LintConfig
 from repro.lintkit.core import (
     FileContext,
     Finding,
@@ -46,7 +44,6 @@ from repro.lintkit.dataflow.symbols import (
     extract_summary,
     module_name_for,
 )
-from repro.lintkit.dataflow.unitsig import UnitRegistry
 from repro.lintkit.suppress import parse_suppressions
 
 #: Rule id used for files that fail to parse.
@@ -58,12 +55,18 @@ _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules",
 
 
 def iter_python_files(targets: list[str]) -> list[str]:
-    """Every ``.py`` file under the targets (files pass through), sorted."""
+    """Every ``.py`` file under the targets (files pass through), sorted.
+
+    A target that does not exist raises :class:`FileNotFoundError`, so a
+    mistyped path fails the run instead of linting nothing.
+    """
     out: list[str] = []
     for target in targets:
         if os.path.isfile(target):
             out.append(target)
             continue
+        if not os.path.isdir(target):
+            raise FileNotFoundError(f"no such lint target: {target}")
         for dirpath, dirnames, filenames in os.walk(target):
             dirnames[:] = sorted(d for d in dirnames if d not in _SKIP_DIRS)
             for fname in sorted(filenames):
@@ -81,47 +84,10 @@ def _matches(relpath: str, fragments: tuple[str, ...]) -> bool:
     return any(frag in p for frag in fragments)
 
 
-class ProjectContext:
-    """What tier-2 rules see across files: symbol index + unit registry."""
-
-    def __init__(self, index: SymbolIndex, units: UnitRegistry) -> None:
-        self.index = index
-        self.units = units
-
-    def module_of(self, relpath: str) -> str:
-        return module_name_for(relpath)
-
-    @classmethod
-    def for_single_file(cls, relpath: str, tree: ast.Module,
-                        config: LintConfig | None = None
-                        ) -> "ProjectContext":
-        index = SymbolIndex()
-        index.add_tree(relpath, tree)
-        unitsigs = config.unitsigs if config is not None else None
-        return cls(index, UnitRegistry(unitsigs))
-
-
-def resolve_rules(config: LintConfig) -> list[Rule]:
-    """Registered rules minus disabled ones, with severity overrides."""
-    resolved: list[Rule] = []
-    for rule in all_rules():
-        if rule.id in config.disable:
-            continue
-        override = config.severity.get(rule.id)
-        if override is not None:
-            rule = rule.with_severity(Severity.from_str(override))
-        resolved.append(rule)
-    return resolved
-
-
-def rules_fingerprint(rules: list[Rule], config: LintConfig) -> str:
+def rules_fingerprint(rules: list[Rule]) -> str:
     """Hash of everything that changes findings besides file content."""
-    payload = {
-        "rules": [[r.id, str(r.severity), list(r.only),
-                   list(r.default_allow)] for r in rules],
-        "allow": {k: list(v) for k, v in sorted(config.allow.items())},
-        "unitsigs": dict(sorted(config.unitsigs.items())),
-    }
+    payload = [[r.id, str(r.severity), list(r.only),
+                list(r.default_allow)] for r in rules]
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -137,16 +103,14 @@ def _parse_error_finding(relpath: str, exc: SyntaxError) -> Finding:
     )
 
 
-def _run_rules(ctx: FileContext, rules: list[Rule],
-               config: LintConfig) -> list[Finding]:
+def _run_rules(ctx: FileContext, rules: list[Rule]) -> list[Finding]:
     """Run every applicable rule over one parsed file."""
     suppressions = parse_suppressions(ctx.source, ctx.tree)
     findings: list[Finding] = []
     for rule in rules:
         if rule.only and not _matches(ctx.relpath, rule.only):
             continue
-        allow = config.allow_fragments(rule.id, rule.default_allow)
-        if allow and _matches(ctx.relpath, allow):
+        if _matches(ctx.relpath, rule.default_allow):
             continue
         for f in rule.check(ctx):
             if suppressions.is_suppressed(f.rule_id, f.line):
@@ -158,13 +122,12 @@ def _run_rules(ctx: FileContext, rules: list[Rule],
     return findings
 
 
-def lint_file(path: str, rules: list[Rule], config: LintConfig,
-              relpath: str | None = None,
-              project: ProjectContext | None = None) -> list[Finding]:
+def lint_file(path: str, rules: list[Rule], relpath: str | None = None,
+              project: SymbolIndex | None = None) -> list[Finding]:
     """Lint one file with the given rules; shared parse, suppressions.
 
     Without an explicit ``project``, tier-2 rules see a single-file
-    project view (cross-module facts degrade to what the file shows).
+    symbol index (cross-module facts degrade to what the file shows).
     """
     relpath = _posix(relpath if relpath is not None else path)
     with open(path, encoding="utf-8") as fh:
@@ -174,10 +137,11 @@ def lint_file(path: str, rules: list[Rule], config: LintConfig,
     except SyntaxError as exc:
         return [_parse_error_finding(relpath, exc)]
     if project is None and any(r.tier >= 2 for r in rules):
-        project = ProjectContext.for_single_file(relpath, tree, config)
+        project = SymbolIndex()
+        project.add_tree(relpath, tree)
     ctx = FileContext(path=path, relpath=relpath, source=source,
                       tree=tree, project=project)
-    return _run_rules(ctx, rules, config)
+    return _run_rules(ctx, rules)
 
 
 class _FileRecord:
@@ -214,30 +178,22 @@ class _FileRecord:
             self.parse_error = exc
 
 
-def lint_paths(targets: list[str] | None, config: LintConfig,
-               baseline_path: str | None = None, *,
-               incremental: bool = False,
+def lint_paths(targets: list[str], *, incremental: bool = False,
                cache_path: str | None = None) -> LintReport:
-    """Lint every Python file under ``targets`` (default: config paths).
+    """Lint every Python file under ``targets`` with every rule.
 
-    ``baseline_path`` overrides the configured baseline; pass ``""`` to
-    ignore any configured baseline.  With ``incremental=True`` the
-    content-hash cache at ``cache_path`` (default
-    ``.repro/lintcache.json``) is consulted and refreshed; findings of
-    byte-identical files under an identical project fingerprint replay
-    without re-parsing.
+    With ``incremental=True`` the content-hash cache at ``cache_path``
+    (default ``.repro/lintcache.json``) is consulted and refreshed;
+    findings of byte-identical files under an identical project
+    fingerprint replay without re-parsing.
     """
-    if not targets:
-        targets = [p for p in config.paths if os.path.exists(p)]
-    rules = resolve_rules(config)
-    need_project = any(r.tier >= 2 for r in rules)
+    rules = all_rules()
     report = LintReport(rules_run=len(rules))
 
     cache: LintCache | None = None
     if incremental:
-        resolved_cache = cache_path or config.cache or DEFAULT_CACHE_PATH
-        cache = LintCache.load(resolved_cache,
-                               rules_fingerprint(rules, config))
+        cache = LintCache.load(cache_path or DEFAULT_CACHE_PATH,
+                               rules_fingerprint(rules))
 
     # Phase 1: digest every file; recover summaries from cache or parse.
     records: list[_FileRecord] = []
@@ -265,14 +221,12 @@ def lint_paths(targets: list[str] | None, config: LintConfig,
                 rec.summary = {"module": module_name_for(rec.relpath),
                                "relpath": rec.relpath}
 
-    # Phase 2: assemble the project view and its fingerprint.
+    # Phase 2: assemble the symbol index and its fingerprint.
     index = SymbolIndex()
     for rec in records:
         if rec.summary is not None:
             index.add(ModuleInfo.from_summary(rec.summary))
     project_fp = index.fingerprint()
-    project = ProjectContext(index, UnitRegistry(config.unitsigs)) \
-        if need_project else None
 
     # Phase 3: replay cached findings or lint, file by file.
     for rec in records:
@@ -290,8 +244,8 @@ def lint_paths(targets: list[str] | None, config: LintConfig,
         elif rec.tree is not None:
             ctx = FileContext(path=rec.path, relpath=rec.relpath,
                               source=rec.source or "", tree=rec.tree,
-                              project=project)
-            rec.findings = _run_rules(ctx, rules, config)
+                              project=index)
+            rec.findings = _run_rules(ctx, rules)
         else:
             rec.findings = []
         report.findings.extend(rec.findings)
@@ -304,9 +258,4 @@ def lint_paths(targets: list[str] | None, config: LintConfig,
         cache.save()
         report.cache_hits = cache.hits
         report.cache_misses = cache.misses
-
-    resolved_baseline = baseline_path if baseline_path is not None \
-        else config.baseline
-    if resolved_baseline and os.path.exists(resolved_baseline):
-        apply_baseline(report, load_baseline(resolved_baseline))
     return report

@@ -28,13 +28,8 @@ def render_text(report: LintReport) -> str:
     visible = len(lines)
     summary = (f"{visible} finding(s) in {report.files_scanned} file(s)"
                f" [{report.rules_run} rules]")
-    hidden = []
     if report.suppressed_count:
-        hidden.append(f"{report.suppressed_count} suppressed inline")
-    if report.baselined_count:
-        hidden.append(f"{report.baselined_count} grandfathered by baseline")
-    if hidden:
-        summary += " (" + ", ".join(hidden) + ")"
+        summary += f" ({report.suppressed_count} suppressed inline)"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -51,7 +46,6 @@ def render_json(report: LintReport) -> str:
         "counts": {
             "visible": len(report.visible),
             "suppressed": report.suppressed_count,
-            "baselined": report.baselined_count,
             "by_severity": by_severity,
         },
         "findings": [f.to_dict() for f in sorted(

@@ -1,17 +1,16 @@
 """Domain rule families; importing this package registers every rule.
 
-Families (see docs/LINTING.md for the full catalogue):
+Families (see docs/LINTING.md for the full catalogue and why each rule
+stays):
 
 * ``DET``  — determinism: no unseeded randomness, no wall-clock reads.
-* ``UNT``  — unit safety: no cycles/seconds/requests mixing.  ``UNT001``
-  is lexical; ``UNT100``–``UNT102`` infer dimensions by dataflow.
 * ``PERF`` — batch hygiene: experiment sweeps go through the batch
   solver kernel, not per-cell loops.
 * ``PUR``  — cache purity: memoized solvers stay side-effect free.
   ``PUR100`` tracks aliases the syntactic rules cannot see.
 * ``CONC`` — concurrency safety: shared-state mutation under threads,
   process-pool capture hazards, fork-inherited RNG/telemetry state.
-* ``SIM``  — desim scheduling invariants.
+* ``SIM``  — desim event ordering: no event mutation after enqueue.
 * ``TEL``  — telemetry hygiene: registry-constant metric names, spans
   only as context managers.
 """
@@ -24,6 +23,4 @@ from repro.lintkit.rules import (  # noqa: F401
     perf,
     purity_flow,
     telemetry,
-    units,
-    unitflow,
 )

@@ -25,10 +25,6 @@ single file cannot show:
   ``enable(fresh=True)``) in the worker.  Forked children inherit the
   parent's RNG position and telemetry buffers; every worker then
   replays identical "random" draws and double-counts metrics.
-
-``CONC`` findings are never grandfathered by the baseline (see
-``lintkit.baseline``): a new shared-state hazard must be fixed or
-carry an inline justification, not accumulate.
 """
 
 from __future__ import annotations
@@ -67,9 +63,8 @@ def _top_level_functions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
 
 
 def _project_index(ctx: FileContext) -> SymbolIndex:
-    project = getattr(ctx, "project", None)
-    if project is not None:
-        return project.index
+    if ctx.project is not None:
+        return ctx.project
     index = SymbolIndex()
     index.add_tree(ctx.relpath, ctx.tree)
     return index

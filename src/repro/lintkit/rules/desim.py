@@ -1,17 +1,12 @@
-"""Desim scheduling-invariant rules (``SIM``).
+"""Desim event-ordering rule (``SIM002``).
 
 The discrete-event engine's determinism guarantee rests on invariants
-enforced partly at runtime (non-negative delays raise) and partly by
-convention only.  These rules move the conventions into CI:
-
-* delays are non-negative — a literal negative delay is always a bug;
-* an event is immutable once enqueued — the heap ordering and any
-  already-registered waiter read ``time``/``value``/``seq`` at trigger
-  time, so mutating them after ``push``/``schedule`` reorders history;
-* monitors must not hold strong references to the engine — monitors
-  outlive runs (they feed the burst sampler after ``run()`` returns), so
-  a strong ``monitor -> simulator`` edge keeps the whole event graph
-  alive and couples measurement to scheduling.
+enforced partly at runtime (``Simulator.schedule`` and ``Timeout``
+reject negative delays) and partly by convention only.  This rule moves
+the convention into CI: an event is immutable once enqueued — the heap
+ordering and any already-registered waiter read ``time``/``value``/
+``seq`` at trigger time, so mutating them after ``push``/``schedule``
+reorders history.
 """
 
 from __future__ import annotations
@@ -23,51 +18,6 @@ from repro.lintkit.core import FileContext, Finding, Rule, register
 
 #: Attributes that are frozen once an event is on the queue.
 _FROZEN_EVENT_ATTRS = {"time", "value", "seq"}
-
-#: Parameter names that (by convention) carry the engine.
-_ENGINE_PARAMS = {"sim", "engine", "simulator", "env"}
-
-
-def _is_negative_number(node: ast.AST) -> bool:
-    return (isinstance(node, ast.UnaryOp)
-            and isinstance(node.op, ast.USub)
-            and isinstance(node.operand, ast.Constant)
-            and isinstance(node.operand.value, (int, float)))
-
-
-@register
-class NegativeDelayRule(Rule):
-    """``SIM001``: no literal negative delays in scheduling calls."""
-
-    id = "SIM001"
-    name = "no-negative-delay"
-    description = ("scheduling with a negative delay would fire an event "
-                   "in the simulated past")
-
-    _SCHEDULERS = {"schedule": 1, "timeout": 0, "Timeout": 0}
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = node.func
-            name = fn.attr if isinstance(fn, ast.Attribute) else (
-                fn.id if isinstance(fn, ast.Name) else None)
-            if name not in self._SCHEDULERS:
-                continue
-            delay_pos = self._SCHEDULERS[name]
-            delay = None
-            if len(node.args) > delay_pos:
-                delay = node.args[delay_pos]
-            else:
-                for kw in node.keywords:
-                    if kw.arg == "delay":
-                        delay = kw.value
-            if delay is not None and _is_negative_number(delay):
-                yield ctx.finding(
-                    self, node,
-                    f"`{name}` called with a negative delay; events cannot "
-                    "be scheduled in the simulated past")
 
 
 @register
@@ -119,48 +69,3 @@ class EventMutationAfterEnqueueRule(Rule):
                                 f"`{name}` was enqueued (line "
                                 f"{enqueued[name]}); set event state "
                                 "before push/schedule")
-
-
-@register
-class MonitorEngineReferenceRule(Rule):
-    """``SIM003``: monitors must not hold strong engine references.
-
-    In a class whose name ends in ``Monitor``, storing a constructor
-    parameter named ``sim``/``engine``/``simulator``/``env`` on ``self``
-    creates a strong monitor→engine edge; use a ``weakref`` (or pass the
-    values the monitor needs instead of the engine).
-    """
-
-    id = "SIM003"
-    name = "no-monitor-engine-reference"
-    description = ("a strong monitor->engine reference keeps the whole "
-                   "event graph alive past the run")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.ClassDef)
-                    and node.name.endswith("Monitor")):
-                continue
-            for stmt in node.body:
-                if not (isinstance(stmt, ast.FunctionDef)
-                        and stmt.name == "__init__"):
-                    continue
-                engine_params = {
-                    a.arg for a in (*stmt.args.posonlyargs, *stmt.args.args,
-                                    *stmt.args.kwonlyargs)
-                    if a.arg in _ENGINE_PARAMS}
-                if not engine_params:
-                    continue
-                for inner in ast.walk(stmt):
-                    if isinstance(inner, ast.Assign) and \
-                            isinstance(inner.value, ast.Name) and \
-                            inner.value.id in engine_params:
-                        for target in inner.targets:
-                            if isinstance(target, ast.Attribute) and \
-                                    isinstance(target.value, ast.Name) and \
-                                    target.value.id == "self":
-                                yield ctx.finding(
-                                    self, inner,
-                                    f"monitor `{node.name}` stores a strong "
-                                    f"reference to `{inner.value.id}`; hold "
-                                    "a weakref.ref/proxy instead")

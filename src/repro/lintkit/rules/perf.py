@@ -49,8 +49,8 @@ class PerCellSolveLoopRule(Rule):
     first (:meth:`MeasurementRun.prime` / :func:`prime_runs`), or call
     :func:`solve_flow_cells` directly.  Loops that are intentionally
     scalar (priming already happened upstream, or the cells genuinely
-    depend on each other) are grandfathered in the committed
-    lint baseline.
+    depend on each other) carry an inline
+    ``# reprolint: disable=PERF001`` with the reason next to it.
     """
 
     id = "PERF001"

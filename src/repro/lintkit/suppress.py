@@ -11,7 +11,7 @@ inside a string literal does not suppress anything):
 
 When the parsed AST is available, a line suppression anywhere inside a
 multi-line *simple* statement covers every physical line of that
-statement — a trailing ``# reprolint: disable=UNT001`` on the closing
+statement — a trailing ``# reprolint: disable=TEL001`` on the closing
 paren of a three-line call suppresses the finding anchored at the call's
 first line.  Compound statements (``if``/``for``/``def``…) deliberately
 do not spread: a directive inside a loop body must not silence the whole

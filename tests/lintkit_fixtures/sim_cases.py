@@ -1,13 +1,13 @@
-"""SIM fixture: negative delays, post-enqueue mutation, monitor refs."""
+"""SIM002 fixture: event state mutated after the event is enqueued.
 
-import weakref
+Line numbers are asserted by tests/test_lintkit_rules.py."""
 
 
 def schedule_bad(sim, queue, ev):
-    sim.schedule(ev, -1.0)  # -> SIM001
-    sim.timeout(-0.5)  # -> SIM001
+    sim.schedule(ev, 1.0)
+    sim.timeout(0.5)
     queue.push(ev, 0.0)
-    ev.value = 42  # -> SIM002 (after push on line above)
+    ev.value = 42  # -> SIM002 (after the enqueues above)
     return ev
 
 
@@ -16,19 +16,3 @@ def schedule_ok(sim, queue, ev, make_timeout):
     queue.push(ev, 0.0)
     sim.schedule(ev, 1.0)
     return make_timeout(0.0)
-
-
-def timeout_bad(Timeout):
-    return Timeout(-2)  # -> SIM001
-
-
-class LeakyMonitor:
-    def __init__(self, sim, interval):
-        self.sim = sim  # -> SIM003
-        self.interval = interval
-
-
-class CarefulMonitor:
-    def __init__(self, sim, interval):
-        self._sim = weakref.ref(sim)  # ok: weak reference
-        self.interval = interval

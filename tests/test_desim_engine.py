@@ -210,8 +210,11 @@ class TestProcesses:
             sim.run()
 
     def test_negative_timeout_rejected(self):
+        # Both scheduling entry points refuse to fire in the past.
         with pytest.raises(ValidationError):
             Timeout(-1.0)
+        with pytest.raises(ValidationError):
+            Simulator().schedule(Event(), -1.0)
 
     def test_determinism(self):
         def build():

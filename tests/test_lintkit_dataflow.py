@@ -1,5 +1,6 @@
 """Dataflow-tier tests: CFG shapes, lattice laws, fixpoint behaviour,
-the incremental cache, multi-line suppressions and baseline hygiene.
+PUR100's alias scopes, the incremental cache and multi-line
+suppressions.
 
 The CFG/fixpoint tests use a tiny constant-propagation domain so the
 assertions are about *control flow* (where joins happen, which blocks
@@ -9,15 +10,9 @@ are reachable) rather than any particular rule's semantics.
 import ast
 import textwrap
 
-from repro.lintkit import LintConfig, lint_paths, resolve_rules
-from repro.lintkit.baseline import (
-    apply_baseline,
-    load_baseline,
-    normalize_snippet,
-    write_baseline,
-)
+from repro.lintkit import all_rules, lint_paths
 from repro.lintkit.cache import LintCache, file_digest
-from repro.lintkit.core import Finding, LintReport, Severity
+from repro.lintkit.core import Finding, Severity
 from repro.lintkit.dataflow.cfg import build_cfg
 from repro.lintkit.dataflow.fixpoint import ForwardAnalysis
 from repro.lintkit.dataflow.lattice import TOP, join_env, join_value
@@ -27,16 +22,7 @@ from repro.lintkit.dataflow.symbols import (
     extract_summary,
     module_name_for,
 )
-from repro.lintkit.dataflow.unitsig import (
-    CYCLES,
-    HERTZ,
-    RATE,
-    SECONDS,
-    UnitRegistry,
-    lexical_dim,
-    parse_signature,
-)
-from repro.lintkit.rules.unitflow import UnitAnalysis
+from repro.lintkit.rules.purity_flow import AliasAnalysis
 from repro.lintkit.suppress import parse_suppressions
 
 
@@ -62,6 +48,20 @@ class ConstProp(ForwardAnalysis):
         cfg = build_cfg(fn)
         envs = self.analyze(fn, cfg)
         return envs.get(cfg.exit, {})
+
+
+class ObservedConstProp(ConstProp):
+    """ConstProp that logs every op the observe pass interprets."""
+
+    def __init__(self):
+        super().__init__()
+        #: (op source, entry env) per observed op, in visiting order.
+        self.observed = []
+
+    def transfer_op(self, env, op):
+        if self.observing and isinstance(op, ast.stmt):
+            self.observed.append((ast.unparse(op), dict(env)))
+        return super().transfer_op(env, op)
 
 
 class TestLattice:
@@ -254,92 +254,76 @@ class TestCfgShapes:
         assert env["z"] == 1     # finally runs on every path
 
 
-class TestUnitAnalysisScopes:
-    def run(self, src: str) -> UnitAnalysis:
-        analysis = UnitAnalysis(UnitRegistry())
-        analysis.analyze(fn_of(src))
-        return analysis
-
-    def test_comprehension_target_does_not_clobber_outer_binding(self):
-        # `a`/`b` are lexically neutral, so only the dataflow tier can
-        # see this mix — and only if the comprehension's rebinding of
-        # `a` stays in the comprehension scope.
-        analysis = self.run("""
-            def f(work_cycles, wall_time_s, vals):
-                a = work_cycles
-                b = wall_time_s
-                xs = [a for a in vals]
-                return a + b
-        """)
-        assert [r.kind for r in analysis.reports] == ["mix"]
-
-    def test_walrus_binding_is_dimension_checked(self):
-        analysis = self.run("""
-            def f(machine):
-                if (work_cycles := machine.wall_time_s):
-                    return work_cycles
-                return 0
-        """)
-        assert [r.kind for r in analysis.reports] == ["bind"]
-
-    def test_match_captures_are_unknown_not_stale(self):
-        analysis = self.run("""
-            def f(v, work_cycles):
-                match v:
-                    case [work_cycles]:
-                        pass
-                return work_cycles + 1.0
-        """)
-        # The capture rebinds work_cycles to an unknown: no report.
-        assert analysis.reports == []
-
+class TestObservePass:
     def test_observe_pass_reports_converged_facts_once(self):
-        analysis = self.run("""
-            def f(cond, work_cycles, wall_time_s):
-                a = work_cycles
-                b = wall_time_s
+        # The loop body is interpreted more than once on the way to the
+        # fixpoint (x is 1, then TOP) but observed once, with the joined
+        # fact.
+        analysis = ObservedConstProp()
+        analysis.analyze(fn_of("""
+            def f(cond):
+                x = 1
                 while cond:
-                    t = a + b
-                    cond = t
-        """)
-        # The loop body is interpreted many times on the way to the
-        # fixpoint but the defect is reported exactly once.
-        assert [r.kind for r in analysis.reports] == ["mix"]
+                    y = x
+                    x = 2
+        """))
+        seen = [env.get("x") for src, env in analysis.observed
+                if src == "y = x"]
+        assert seen == [TOP]
 
-
-class TestDeadCodeObservation:
-    def test_observe_pass_reports_inside_unreachable_blocks(self):
+    def test_observe_pass_visits_unreachable_blocks(self):
         # Dead code gets a block but no inflow; the observe pass must
         # still visit it (from an empty env) so defects there surface.
-        analysis = UnitAnalysis(UnitRegistry())
+        analysis = ObservedConstProp()
         analysis.analyze(fn_of("""
-            def f(work_cycles, wall_time_s):
-                return 0
-                a = work_cycles
-                b = wall_time_s
-                t = a + b
+            def f():
+                x = 1
+                return x
+                y = x
         """))
-        assert [r.kind for r in analysis.reports] == ["mix"]
+        assert ("y = x", {}) in analysis.observed
 
 
-class TestUnitSignatures:
-    def test_parse_signature_roundtrip(self):
-        sig = parse_signature("f", "cycles, hertz -> seconds")
-        assert sig.params == (CYCLES, HERTZ)
-        assert sig.returns == SECONDS
+class TestAliasAnalysisScopes:
+    """Scoping through the CFG, on PUR100's may-alias domain."""
 
-    def test_registry_extends_builtins_and_falls_back_to_tail(self):
-        reg = UnitRegistry({"pkg.mod.my_rate": "requests, cycles -> rate"})
-        assert reg.lookup("pkg.mod.my_rate").returns == RATE
-        assert reg.lookup("units.cycles_to_seconds") is not None
+    def mutations(self, src: str) -> list[tuple[str, str]]:
+        fn = fn_of(src)
+        params = {a.arg for a in fn.args.args}
+        analysis = AliasAnalysis(params)
+        analysis.analyze(fn)
+        return [(how, param) for _, how, param in analysis.mutations]
 
-    def test_lexical_dim_conventions(self):
-        assert lexical_dim("work_cycles") == CYCLES
-        assert lexical_dim("window_s") == SECONDS
-        assert lexical_dim("latency_p99") == SECONDS
-        assert lexical_dim("reqs_per_cycle") == RATE
-        assert lexical_dim("freq") == HERTZ
-        assert lexical_dim("banana") is None
+    def test_comprehension_target_does_not_clobber_outer_binding(self):
+        # The comprehension's `rates` lives in its own scope, so the
+        # outer `rates` still aliases `profile` after it.
+        assert self.mutations("""
+            def f(profile, vals, key):
+                flow_cache.get(key)
+                rates = profile.rates
+                copies = [rates for rates in vals]
+                rates.append(1.0)
+        """) == [("calls .append() via `rates`", "profile")]
+
+    def test_walrus_binding_in_if_header_flows(self):
+        assert self.mutations("""
+            def f(profile, key):
+                flow_cache.get(key)
+                if (rates := profile.rates):
+                    rates.append(1.0)
+        """) == [("calls .append() via `rates`", "profile")]
+
+    def test_match_captures_rebind_not_stale(self):
+        # The capture rebinds `rates` to a fresh value: the mutation in
+        # the case body no longer reaches `profile`.
+        assert self.mutations("""
+            def f(profile, key):
+                flow_cache.get(key)
+                rates = profile.rates
+                match make_rates():
+                    case [rates]:
+                        rates.append(1.0)
+        """) == []
 
 
 class TestSymbolIndex:
@@ -412,20 +396,20 @@ class TestSymbolIndex:
 
 class TestMultilineSuppressions:
     SRC = ("total = (work_cycles\n"
-           "         + window_s)  # reprolint: disable=UNT100\n"
+           "         + window_s)  # reprolint: disable=PUR100\n"
            "other = 1\n")
 
     def test_directive_covers_every_line_of_the_statement(self):
         tree = ast.parse(self.SRC)
         sup = parse_suppressions(self.SRC, tree)
-        assert sup.is_suppressed("UNT100", 1)
-        assert sup.is_suppressed("UNT100", 2)
-        assert not sup.is_suppressed("UNT100", 3)
+        assert sup.is_suppressed("PUR100", 1)
+        assert sup.is_suppressed("PUR100", 2)
+        assert not sup.is_suppressed("PUR100", 3)
 
     def test_without_tree_only_the_comment_line_is_covered(self):
         sup = parse_suppressions(self.SRC)
-        assert not sup.is_suppressed("UNT100", 1)
-        assert sup.is_suppressed("UNT100", 2)
+        assert not sup.is_suppressed("PUR100", 1)
+        assert sup.is_suppressed("PUR100", 2)
 
     def test_compound_statement_bodies_do_not_inherit(self):
         src = ("if cond:  # reprolint: disable=DET001\n"
@@ -435,39 +419,9 @@ class TestMultilineSuppressions:
         assert not sup.is_suppressed("DET001", 2)
 
 
-def _finding(rule="UNT001", snippet="a + b", path="m.py"):
+def _finding(rule="DET001", snippet="a + b", path="m.py"):
     return Finding(rule_id=rule, severity=Severity.ERROR, path=path,
                    line=1, col=0, message="msg", snippet=snippet)
-
-
-class TestBaselineHygiene:
-    def test_snippet_matching_is_whitespace_normalized(self, tmp_path):
-        report = LintReport(findings=[_finding(snippet="a  +   b")])
-        path = str(tmp_path / "baseline.json")
-        write_baseline(report, path)
-        fresh = LintReport(findings=[_finding(snippet="a + b")])
-        apply_baseline(fresh, load_baseline(path))
-        assert fresh.baselined_count == 1
-
-    def test_normalize_snippet(self):
-        assert normalize_snippet("  a\t+  b ") == "a + b"
-
-    def test_conc_findings_are_never_grandfathered(self, tmp_path):
-        report = LintReport(findings=[_finding(rule="CONC001")])
-        path = str(tmp_path / "baseline.json")
-        assert write_baseline(report, path) == 0  # not written
-        # Even a hand-edited baseline entry must not match.
-        path2 = str(tmp_path / "handmade.json")
-        write_baseline(LintReport(findings=[_finding()]), path2)
-        import json
-        data = json.loads(open(path2).read())
-        data["entries"].append({"rule": "CONC001", "path": "m.py",
-                                "snippet": "a + b"})
-        open(path2, "w").write(json.dumps(data))
-        fresh = LintReport(findings=[_finding(rule="CONC001")])
-        apply_baseline(fresh, load_baseline(path2))
-        assert fresh.baselined_count == 0
-        assert fresh.exit_code() == 1
 
 
 class TestLintCache:
@@ -480,7 +434,7 @@ class TestLintCache:
         cache.save()
         loaded = LintCache.load(path, "rules-v1")
         [f] = loaded.findings("m.py", digest, "proj-a")
-        assert f.rule_id == "UNT001" and loaded.hits == 1
+        assert f.rule_id == "DET001" and loaded.hits == 1
 
     def test_rules_fingerprint_mismatch_is_cold(self, tmp_path):
         path = str(tmp_path / "cache.json")
@@ -513,8 +467,7 @@ class TestIncrementalEngine:
         return clean, dirty
 
     def _lint(self, tmp_path, **kw):
-        return lint_paths([str(tmp_path / "pkg")], LintConfig(),
-                          incremental=True,
+        return lint_paths([str(tmp_path / "pkg")], incremental=True,
                           cache_path=str(tmp_path / "cache.json"), **kw)
 
     def test_cold_then_warm_replays_identically(self, tmp_path):
@@ -562,14 +515,12 @@ class TestIncrementalEngine:
 
     def test_non_incremental_run_touches_no_cache(self, tmp_path):
         self._tree(tmp_path)
-        report = lint_paths([str(tmp_path / "pkg")], LintConfig())
+        report = lint_paths([str(tmp_path / "pkg")])
         assert (report.cache_hits, report.cache_misses) == (0, 0)
         assert not (tmp_path / "cache.json").exists()
 
 
 class TestTierDispatch:
     def test_tier2_rules_are_registered(self):
-        rules = resolve_rules(LintConfig())
-        tier2 = {r.id for r in rules if r.tier == 2}
-        assert {"UNT100", "UNT101", "UNT102", "CONC001", "CONC002",
-                "CONC003", "PUR100"} <= tier2
+        tier2 = {r.id for r in all_rules() if r.tier == 2}
+        assert {"CONC001", "CONC002", "CONC003", "PUR100"} <= tier2

@@ -1,7 +1,6 @@
-"""Engine-level tests: suppressions, baseline, config, reporters, CLI."""
+"""Engine-level tests: suppressions, reporters, CLI."""
 
 import json
-import os
 import textwrap
 
 import pytest
@@ -9,16 +8,12 @@ import pytest
 from repro.lintkit import (
     FORMATS,
     Finding,
-    LintConfig,
     LintReport,
     Severity,
+    all_rules,
     lint_paths,
-    load_baseline,
     render,
-    resolve_rules,
-    write_baseline,
 )
-from repro.lintkit.config import config_from_dict
 from repro.lintkit.engine import PARSE_RULE_ID, iter_python_files, lint_file
 from repro.lintkit.suppress import parse_suppressions
 
@@ -31,9 +26,8 @@ def write_file(tmp_path, name, body):
     return str(path)
 
 
-def lint_one(path, config=None):
-    config = config or LintConfig()
-    return lint_file(path, resolve_rules(config), config)
+def lint_one(path):
+    return lint_file(path, all_rules())
 
 
 class TestSuppressions:
@@ -43,13 +37,13 @@ class TestSuppressions:
         assert sup.is_suppressed("DET001", 1)
         assert sup.is_suppressed("TEL002", 1)
         assert not sup.is_suppressed("DET001", 2)
-        assert not sup.is_suppressed("UNT001", 1)
+        assert not sup.is_suppressed("PUR001", 1)
 
     def test_file_wide_directive(self):
         sup = parse_suppressions(
-            "# reprolint: disable-file=UNT001\nx = 1\n")
-        assert sup.is_suppressed("UNT001", 1)
-        assert sup.is_suppressed("UNT001", 99)
+            "# reprolint: disable-file=PUR001\nx = 1\n")
+        assert sup.is_suppressed("PUR001", 1)
+        assert sup.is_suppressed("PUR001", 99)
 
     def test_all_wildcard(self):
         sup = parse_suppressions("x = 1  # reprolint: disable=all\n")
@@ -66,97 +60,6 @@ class TestSuppressions:
         findings = lint_one(path)
         det = [f for f in findings if f.rule_id == "DET001"]
         assert len(det) == 1 and det[0].suppressed
-
-
-class TestBaseline:
-    def test_roundtrip_grandfathers_exactly_once(self, tmp_path):
-        src = write_file(tmp_path, "mod.py", VIOLATION)
-        config = LintConfig()
-        baseline_path = str(tmp_path / "baseline.json")
-
-        first = lint_paths([src], config)
-        assert first.exit_code() == 1
-        assert write_baseline(first, baseline_path) == 1
-
-        second = lint_paths([src], config, baseline_path=baseline_path)
-        assert second.exit_code() == 0
-        assert second.baselined_count == 1
-        assert second.visible == []
-
-    def test_new_finding_on_top_of_baselined_one_still_surfaces(
-            self, tmp_path):
-        src = write_file(tmp_path, "mod.py", VIOLATION)
-        config = LintConfig()
-        baseline_path = str(tmp_path / "baseline.json")
-        write_baseline(lint_paths([src], config), baseline_path)
-
-        # The same violation twice: one is grandfathered, one is new.
-        with open(src, "a", encoding="utf-8") as fh:
-            fh.write(VIOLATION)
-        report = lint_paths([src], config, baseline_path=baseline_path)
-        assert report.baselined_count == 1
-        assert len(report.visible) == 1
-        assert report.exit_code() == 1
-
-    def test_stale_entries_stop_matching_when_the_line_changes(
-            self, tmp_path):
-        src = write_file(tmp_path, "mod.py", VIOLATION)
-        config = LintConfig()
-        baseline_path = str(tmp_path / "baseline.json")
-        write_baseline(lint_paths([src], config), baseline_path)
-
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write("import random as rnd\n")
-        report = lint_paths([src], config, baseline_path=baseline_path)
-        assert report.baselined_count == 0
-        assert report.exit_code() == 1
-
-    def test_load_rejects_non_baseline_json(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text("[1, 2]", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = config_from_dict({})
-        assert cfg.paths == ("src/repro",)
-        assert cfg.baseline is None
-
-    def test_disable_and_severity_normalise_case(self):
-        cfg = config_from_dict({
-            "disable": ["unt001"],
-            "severity": {"det003": "warning"},
-        })
-        assert cfg.disable == ("UNT001",)
-        assert cfg.severity == {"DET003": "warning"}
-
-    def test_disabled_rule_is_not_run(self, tmp_path):
-        src = write_file(tmp_path, "mod.py", VIOLATION)
-        cfg = config_from_dict({"disable": ["DET001"]})
-        assert [f for f in lint_one(src, cfg)
-                if f.rule_id == "DET001"] == []
-
-    def test_severity_override_downgrades_exit_code(self, tmp_path):
-        src = write_file(tmp_path, "mod.py", VIOLATION)
-        cfg = config_from_dict({"severity": {"DET001": "warning"}})
-        report = lint_paths([src], cfg)
-        det = [f for f in report.visible if f.rule_id == "DET001"]
-        assert det and det[0].severity == Severity.WARNING
-        assert report.exit_code() == 0
-
-    def test_allow_fragments_extend_rule_defaults(self, tmp_path):
-        src = write_file(tmp_path, "legacy_mod.py", VIOLATION)
-        cfg = config_from_dict({"allow": {"DET001": ["legacy_mod.py"]}})
-        assert [f for f in lint_one(src, cfg)
-                if f.rule_id == "DET001"] == []
-
-    def test_bad_types_raise(self):
-        with pytest.raises(ValueError):
-            config_from_dict({"paths": "src"})
-        with pytest.raises(ValueError):
-            config_from_dict({"baseline": 3})
 
 
 class TestEngine:
@@ -177,9 +80,9 @@ class TestEngine:
     def test_lint_paths_counts_files_and_rules(self, tmp_path):
         write_file(tmp_path, "a.py", "x = 1\n")
         write_file(tmp_path, "b.py", "y = 2\n")
-        report = lint_paths([str(tmp_path)], LintConfig())
+        report = lint_paths([str(tmp_path)])
         assert report.files_scanned == 2
-        assert report.rules_run == len(resolve_rules(LintConfig()))
+        assert report.rules_run == len(all_rules())
         assert report.exit_code() == 0
 
 
@@ -204,15 +107,14 @@ class TestReporters:
         src = write_file(tmp_path, "mod.py",
                          VIOLATION.rstrip() +
                          "  # reprolint: disable=DET001\n")
-        report = lint_paths([src], LintConfig())
+        report = lint_paths([src])
         assert "1 suppressed inline" in render(report, "text")
 
     def test_json_format(self):
         payload = json.loads(render(_report_with_one_finding(), "json"))
         assert payload["exit_code"] == 1
         assert payload["counts"] == {
-            "visible": 1, "suppressed": 0, "baselined": 0,
-            "by_severity": {"error": 1}}
+            "visible": 1, "suppressed": 0, "by_severity": {"error": 1}}
         [finding] = payload["findings"]
         assert finding["rule"] == "DET001"
         assert finding["path"] == "pkg/mod.py"
@@ -246,16 +148,36 @@ class TestCli:
         assert payload["exit_code"] == 1
         assert payload["findings"][0]["rule"] == "DET001"
 
-    def test_write_baseline_then_clean_run(self, tmp_path, capsys):
+    def test_lint_checks_every_path_given(self, tmp_path, capsys):
+        # pre-commit passes every staged file as an argument; a
+        # violation in any of them, not just the first, must fail.
         from repro.cli import main
-        src = write_file(tmp_path, "dirty.py", VIOLATION)
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["lint", src, "--baseline", baseline,
-                     "--write-baseline"]) == 0
-        assert os.path.exists(baseline)
-        capsys.readouterr()
-        assert main(["lint", src, "--baseline", baseline]) == 0
-        assert "grandfathered" in capsys.readouterr().out
+        a = write_file(tmp_path, "a.py", VIOLATION)
+        b = write_file(tmp_path, "b.py", VIOLATION)
+        assert main(["lint", a, b]) == 1
+        out = capsys.readouterr().out
+        assert "2 finding(s) in 2 file(s)" in out
+        assert "a.py:1:0" in out and "b.py:1:0" in out
+
+    def test_missing_target_is_an_error_naming_it(self, tmp_path, capsys):
+        from repro.cli import main
+        clean = write_file(tmp_path, "clean.py", "x = 1\n")
+        missing = str(tmp_path / "typo.py")
+        assert main(["lint", clean, missing]) == 2
+        captured = capsys.readouterr()
+        assert missing in captured.err
+        assert "finding(s)" not in captured.out
+
+    def test_no_path_lints_src_repro_under_the_cwd(self, tmp_path,
+                                                   monkeypatch, capsys):
+        from repro.cli import main
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint"]) == 2
+        assert "src/repro" in capsys.readouterr().err
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        write_file(tmp_path / "src" / "repro", "mod.py", VIOLATION)
+        assert main(["lint"]) == 1
+        assert "src/repro/mod.py:1:0" in capsys.readouterr().out
 
 
 class TestVanishedFiles:
