@@ -6,6 +6,7 @@ regressions in the simulation engine are visible.
 """
 
 import numpy as np
+import pytest
 
 
 def test_exact_mva_48(benchmark):
@@ -106,3 +107,53 @@ def test_penta_solve_4096_lines(benchmark):
     rhs = rng.random((4096, 64))
     x = benchmark(penta_solve, bands, rhs)
     assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("session", ["on", "off"])
+def test_service_telemetry_record(benchmark, session):
+    """One 2xx through the server's request accounting, in-process."""
+    from repro import obs
+    from repro.serve.stats import ServiceTelemetry
+
+    if session == "on":
+        obs.enable(fresh=True)
+    else:
+        obs.disable()
+    try:
+        stats = ServiceTelemetry()
+        benchmark(stats.record, method="POST", path="/predict", status=200,
+                  duration_s=0.001, request_id="0123456789abcdef")
+    finally:
+        obs.disable()
+    assert stats.request_log.total > 0
+
+
+@pytest.mark.parametrize("traffic", ["healthy", "burning"])
+def test_service_telemetry_slo_state(benchmark, traffic):
+    """One SLO evaluation over an hour of traffic, every ring slot live.
+
+    ``healthy``: 1 request in 1,000 is a 5xx and 1 in 1,000 takes
+    0.5 s.  ``burning``: a quarter are 5xx and half take 0.25 s or
+    more, so every slot holds requests on both sides of the latency
+    threshold.
+    """
+    from repro import obs
+    from repro.serve.stats import ServiceTelemetry
+
+    def request(i):
+        if traffic == "burning":
+            return (200, 200, 404, 500)[i % 4], (0.001, 0.01, 0.25, 0.5)[i % 4]
+        fast = (0.0003, 0.0007, 0.0015, 0.004)[i % 4]
+        return (500 if i % 1000 == 0 else 200), (
+            0.5 if i % 1000 == 500 else fast)
+
+    obs.disable()
+    now = [0.0]
+    stats = ServiceTelemetry(clock=lambda: now[0])
+    for i in range(3600 * 3):
+        now[0] = i / 3
+        status, duration_s = request(i)
+        stats.record(method="POST", path="/predict", status=status,
+                     duration_s=duration_s, request_id=str(i))
+    state = benchmark(stats.slo_state)
+    assert state["objectives"]["latency"]["windows"]["1h"]["total"] == 10800

@@ -95,7 +95,7 @@ class MetricsServer:
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
         self.port = self._httpd.server_address[1]
-        self._started_at = time.time()
+        self._started_at = time.monotonic()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-metrics-server", daemon=True)
@@ -127,7 +127,7 @@ class MetricsServer:
     def uptime_s(self) -> float:
         if self._started_at is None:
             return 0.0
-        return time.time() - self._started_at
+        return time.monotonic() - self._started_at
 
     # -- payloads (module-level builders; also used by ``repro serve``) -------
 

@@ -2,11 +2,11 @@
 
 An :class:`SLObjective` states a target over a service-level indicator
 — availability ("99.9% of requests succeed") or latency ("99% of
-requests answer under 250 ms").  The :class:`SLOTracker` feeds every
-request into rolling windows (:mod:`repro.obs.window`) and evaluates
-**burn rates**: how fast the error budget (``1 - target``) is being
-consumed, normalised so a burn rate of 1.0 exactly exhausts the budget
-over the SLO period.
+requests answer under 250 ms").  The :class:`SLOTracker` reads the
+server's rolling latency histograms and 5xx counters
+(:mod:`repro.obs.window`) and evaluates **burn rates**: how fast the
+error budget (``1 - target``) is being consumed, normalised so a burn
+rate of 1.0 exactly exhausts the budget over the SLO period.
 
 Degradation follows the multi-window, multi-burn-rate pattern from the
 SRE literature: the tracker flips an objective to ``degraded`` only
@@ -18,17 +18,17 @@ again.  Transitions emit ``slo.degraded`` / ``slo.recovered``
 structured-log events and mirror into ``serve.slo.*`` gauges when a
 telemetry session is active.
 
-Clock injection mirrors :mod:`repro.obs.window`: tests drive a fake
-clock through a full degrade/recover cycle without sleeping.
+Reads take an explicit ``now`` on the rings' clock, so tests drive a
+fake clock through a full degrade/recover cycle without sleeping.
 """
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.obs.window import RollingCounter
+from repro.obs.metrics import HIST_MAX_EXP, HIST_MIN_EXP
+from repro.obs.window import RollingCounter, RollingHistogram
 
 #: Schema version of the ``slo`` block served by ``/healthz``.
 SLO_SCHEMA = 1
@@ -39,8 +39,8 @@ SLO_SCHEMA = 1
 FAST_BURN = 14.4
 
 #: The sub-windows burn rates are evaluated over: (label, use the slow
-#: ring?, most-recent-bucket restriction).  1 m comes from the 60×1 s
-#: ring; 5 m and 1 h are carved out of the 60×60 s ring.
+#: ring?, most-recent-bucket restriction).  1 m is the 60×1 s ring;
+#: 5 m and 1 h are carved out of the 60×60 s ring.
 _WINDOWS = (("1m", False, None), ("5m", True, 5), ("1h", True, None))
 
 
@@ -64,19 +64,20 @@ class SLObjective:
             raise ValueError(f"unknown SLO kind {self.kind!r}")
         if not 0.0 < self.target < 1.0:
             raise ValueError(f"target {self.target} must be in (0, 1)")
-        if self.kind == "latency" and not self.threshold_s:
-            raise ValueError("latency objectives need a threshold_s")
+        if self.kind == "latency":
+            # Only a histogram bin's lower edge lets the windowed bins
+            # count slow requests exactly.
+            mantissa, e = math.frexp(self.threshold_s or 0.0)
+            if mantissa != 0.5 or not HIST_MIN_EXP < e <= HIST_MAX_EXP:
+                raise ValueError(
+                    f"latency threshold_s {self.threshold_s!r} must be a "
+                    f"power of two in [2**{HIST_MIN_EXP}, "
+                    f"2**{HIST_MAX_EXP - 1}]")
 
     @property
     def budget(self) -> float:
         """The error budget: the bad fraction the target tolerates."""
         return 1.0 - self.target
-
-    def is_bad(self, *, error: bool, duration_s: float) -> bool:
-        if self.kind == "availability":
-            return error
-        assert self.threshold_s is not None
-        return duration_s >= self.threshold_s
 
     def to_dict(self) -> dict:
         return {"name": self.name, "kind": self.kind, "target": self.target,
@@ -86,86 +87,55 @@ class SLObjective:
 #: The served model answers warm predictions in single-digit
 #: milliseconds; 250 ms is an order-of-magnitude guard band that only a
 #: genuine regression (or a cold sweep storm) can breach.
-DEFAULT_OBJECTIVES = (
+_LATENCY_THRESHOLD_S = 0.25
+
+OBJECTIVES = (
     SLObjective(name="availability", kind="availability", target=0.999),
     SLObjective(name="latency", kind="latency", target=0.99,
-                threshold_s=0.25),
+                threshold_s=_LATENCY_THRESHOLD_S),
 )
 
 
 class SLOTracker:
-    """Feeds requests into per-objective windows and evaluates burn rates."""
+    """Evaluates burn rates over the server's request windows.
 
-    def __init__(self, objectives=DEFAULT_OBJECTIVES,
-                 clock: Callable[[], float] = time.monotonic,
-                 fast_burn: float = FAST_BURN) -> None:
-        if not objectives:
-            raise ValueError("want at least one objective")
-        names = [o.name for o in objectives]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate objective names: {names}")
-        self.objectives = tuple(objectives)
-        self.fast_burn = fast_burn
-        self._clock = clock
-        self._counts = {}
-        for obj in self.objectives:
-            self._counts[obj.name] = {
-                # (ring, kind) -> RollingCounter; fast = 60×1s, slow = 60×60s
-                ("fast", "total"): RollingCounter(
-                    "serve.slo.total", 1.0, 60, clock),
-                ("fast", "bad"): RollingCounter(
-                    "serve.slo.bad", 1.0, 60, clock),
-                ("slow", "total"): RollingCounter(
-                    "serve.slo.total", 60.0, 60, clock),
-                ("slow", "bad"): RollingCounter(
-                    "serve.slo.bad", 60.0, 60, clock),
-            }
+    ``latency`` and ``errors`` are the server's (fast, slow) rings of
+    request durations and 5xx counts; the tracker keeps none of its own.
+    """
+
+    def __init__(self,
+                 latency: tuple[RollingHistogram, RollingHistogram],
+                 errors: tuple[RollingCounter, RollingCounter]) -> None:
+        self._latency = latency
+        self._errors = errors
         self._degraded: set[str] = set()
-
-    # -- ingest ---------------------------------------------------------------
-
-    def record(self, *, error: bool, duration_s: float,
-               now: float | None = None) -> None:
-        """Feed one finished request into every objective's windows."""
-        now = self._clock() if now is None else now
-        for obj in self.objectives:
-            bad = obj.is_bad(error=error, duration_s=duration_s)
-            counts = self._counts[obj.name]
-            for ring in ("fast", "slow"):
-                counts[(ring, "total")].inc(1.0, now=now)
-                if bad:
-                    counts[(ring, "bad")].inc(1.0, now=now)
 
     # -- evaluation -----------------------------------------------------------
 
-    def _burn(self, obj: SLObjective, window: tuple, now: float) -> dict:
-        _label, slow, last = window
-        ring = "slow" if slow else "fast"
-        counts = self._counts[obj.name]
-        total = counts[(ring, "total")].total(now=now, last=last)
-        bad = counts[(ring, "bad")].total(now=now, last=last)
-        bad_fraction = (bad / total) if total else 0.0
-        return {
-            "total": int(total),
-            "bad": int(bad),
-            "bad_fraction": round(bad_fraction, 6),
-            "burn_rate": round(bad_fraction / obj.budget, 3),
-        }
+    def _window(self, slow: bool, last: int | None,
+                now: float) -> tuple[int, dict[str, float]]:
+        """(requests, bad requests per objective kind) in one window."""
+        total, too_slow = self._latency[slow].counts(
+            _LATENCY_THRESHOLD_S, now, last)
+        return total, {"availability": self._errors[slow].total(now, last),
+                       "latency": too_slow}
 
-    def state(self, now: float | None = None) -> dict:
+    def state(self, now: float) -> dict:
         """The full SLO block: per-objective windows, burns and status.
 
         Pure read — no transition side effects; :meth:`evaluate` is the
         mutating entry point surfaces should call.
         """
-        now = self._clock() if now is None else now
+        counts = {label: self._window(slow, last, now)
+                  for label, slow, last in _WINDOWS}
         objectives = {}
         degraded = []
-        for obj in self.objectives:
-            windows = {w[0]: self._burn(obj, w, now) for w in _WINDOWS}
+        for obj in OBJECTIVES:
+            windows = {label: _burn(obj, total, bad[obj.kind])
+                       for label, (total, bad) in counts.items()}
             is_degraded = (
-                windows["1m"]["burn_rate"] >= self.fast_burn
-                and windows["5m"]["burn_rate"] >= self.fast_burn)
+                windows["1m"]["burn_rate"] >= FAST_BURN
+                and windows["5m"]["burn_rate"] >= FAST_BURN)
             if is_degraded:
                 degraded.append(obj.name)
             objectives[obj.name] = {
@@ -178,17 +148,16 @@ class SLOTracker:
             "slo_schema": SLO_SCHEMA,
             "status": "degraded" if degraded else "ok",
             "degraded_objectives": degraded,
-            "fast_burn_threshold": self.fast_burn,
+            "fast_burn_threshold": FAST_BURN,
             "objectives": objectives,
         }
 
-    def evaluate(self, now: float | None = None) -> dict:
+    def evaluate(self, now: float) -> dict:
         """Compute :meth:`state` and emit transition events/gauges.
 
         Telemetry mirroring is lazy-imported and session-guarded, so the
         tracker works standalone (and in tests) with telemetry disabled.
         """
-        now = self._clock() if now is None else now
         state = self.state(now)
         from repro import obs
         from repro.obs import names
@@ -209,3 +178,13 @@ class SLOTracker:
                 obs.gauge(names.SERVE_SLO_BURN_RATE, win["burn_rate"],
                           objective=name, window=label)
         return state
+
+
+def _burn(obj: SLObjective, total: int, bad: float) -> dict:
+    bad_fraction = (bad / total) if total else 0.0
+    return {
+        "total": int(total),
+        "bad": int(bad),
+        "bad_fraction": round(bad_fraction, 6),
+        "burn_rate": round(bad_fraction / obj.budget, 3),
+    }

@@ -76,15 +76,14 @@ class _Ring:
                     out.append(slot)
         return out
 
-    def span_s(self, now: float, last: int | None = None) -> float:
+    def span_s(self, now: float) -> float:
         """Effective averaging span: window size capped by lifetime.
 
         Rates divide by this, so a service two seconds old reports its
         actual rate instead of one diluted over an empty minute.
         """
-        span = self.buckets if last is None else min(last, self.buckets)
         alive = max(now - self._created, self.bucket_s)
-        return min(span * self.bucket_s, alive)
+        return min(self.window_s, alive)
 
 
 class RollingCounter(_Ring):
@@ -111,12 +110,6 @@ class RollingCounter(_Ring):
               last: int | None = None) -> float:
         now = self._clock() if now is None else now
         return sum(slot[1] for slot in self._live(now, last))
-
-    def rate(self, now: float | None = None,
-             last: int | None = None) -> float:
-        """Mean per-second rate over the live span."""
-        now = self._clock() if now is None else now
-        return self.total(now, last) / self.span_s(now, last)
 
     def series(self, now: float | None = None) -> list[float]:
         """Per-bucket totals, oldest to newest; stale buckets read 0."""
@@ -148,12 +141,14 @@ class RollingHistogram(_Ring):
             slot = self._slots[idx]
             if slot is None or slot[0] != epoch:
                 # [epoch, bins, count, sum, min, max]
-                self._slots[idx] = slot = [epoch, {}, 0, 0.0, None, None]
+                self._slots[idx] = slot = [epoch, {}, 0, 0.0, v, v]
             slot[1][e] = slot[1].get(e, 0) + 1
             slot[2] += 1
             slot[3] += v
-            slot[4] = v if slot[4] is None else min(slot[4], v)
-            slot[5] = v if slot[5] is None else max(slot[5], v)
+            if v < slot[4]:
+                slot[4] = v
+            if v > slot[5]:
+                slot[5] = v
 
     def merged(self, now: float | None = None,
                last: int | None = None) -> Histogram:
@@ -165,11 +160,27 @@ class RollingHistogram(_Ring):
                 hist.bins[e] = hist.bins.get(e, 0) + c
             hist.count += count
             hist.sum += total
-            if vmin is not None:
-                hist.min = vmin if hist.min is None else min(hist.min, vmin)
-            if vmax is not None:
-                hist.max = vmax if hist.max is None else max(hist.max, vmax)
+            hist.min = vmin if hist.min is None else min(hist.min, vmin)
+            hist.max = vmax if hist.max is None else max(hist.max, vmax)
         return hist
+
+    def counts(self, at_least: float, now: float | None = None,
+               last: int | None = None) -> tuple[int, int]:
+        """``(observations, observations >= at_least)`` in the live window.
+
+        Exact when ``at_least`` is a bin's lower edge: a power of two
+        inside the bin range, as latency SLO thresholds must be.
+        """
+        now = self._clock() if now is None else now
+        low = Histogram.bin_index(at_least)
+        total = over = 0
+        for slot in self._live(now, last):
+            total += slot[2]
+            if slot[5] >= at_least:     # else no bin reaches the edge
+                for e, n in slot[1].items():
+                    if e >= low:
+                        over += n
+        return total, over
 
     def summary(self, now: float | None = None,
                 last: int | None = None) -> dict:

@@ -87,9 +87,9 @@ class PredictionServer:
 
     ``port=0`` binds an ephemeral port (tests); the real port is
     available as :attr:`port` after :meth:`start`.  Use as an async
-    context manager, or :meth:`run_forever` from synchronous code.
-    ``stats`` (a :class:`~repro.serve.stats.ServiceTelemetry`) is
-    injectable so tests can drive the rolling windows and SLO clocks.
+    context manager.  ``stats`` (a
+    :class:`~repro.serve.stats.ServiceTelemetry`) is injectable so tests
+    can drive the rolling windows and SLO clocks.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8321, *,
@@ -115,7 +115,7 @@ class PredictionServer:
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = time.time()
+        self._started_at = time.monotonic()
         return self
 
     async def stop(self) -> None:
@@ -143,20 +143,7 @@ class PredictionServer:
     def uptime_s(self) -> float:
         if self._started_at is None:
             return 0.0
-        return time.time() - self._started_at
-
-    def run_forever(self) -> None:
-        """Blocking entry point used by the CLI; Ctrl-C to stop."""
-        async def _run() -> None:
-            await self.start()
-            try:
-                await self._server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-            finally:
-                await self.stop()
-
-        asyncio.run(_run())
+        return time.monotonic() - self._started_at
 
     # -- request handling -----------------------------------------------------
 
@@ -288,7 +275,9 @@ class PredictionServer:
         """
         try:
             body = json.loads(raw.decode("utf-8")) if raw else None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # json.loads raises RecursionError on over-deep nesting.
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
             return 400, {"error": f"request body is not JSON: {exc}"}, None
         if body is None:
             return 400, {"error": "request body must be a JSON object"}, None

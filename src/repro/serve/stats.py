@@ -7,11 +7,11 @@ finished request is recorded.  Each :meth:`record` call feeds
 * the cumulative session metrics (``serve.requests`` total and per
   ``status_class``, the ``serve.request_seconds`` timer) — when a
   telemetry session is active;
-* the rolling windows (:mod:`repro.obs.window`): request rate, error
-  rate and windowed latency quantiles over a fast 60×1 s ring and a
-  slow 60×1 m ring;
-* the SLO tracker (:mod:`repro.obs.slo`), whose burn rates drive the
-  ``degraded`` state on ``/healthz``;
+* the rolling windows (:mod:`repro.obs.window`): a latency histogram
+  and a 5xx counter over a fast 60×1 s ring and a slow 60×1 m ring.
+  They are the only windowed record of a request: the ``/metrics``
+  request rates and the SLO burn rates (:mod:`repro.obs.slo`) behind
+  the ``degraded`` state on ``/healthz`` read them;
 * a bounded ring of recent and slowest requests — each entry carrying
   its ``request_id`` and, for traced requests, the detached span tree
   — behind ``/debug/requests``.
@@ -32,7 +32,7 @@ from typing import Callable
 
 from repro import obs
 from repro.obs import names
-from repro.obs.slo import DEFAULT_OBJECTIVES, SLOTracker
+from repro.obs.slo import SLOTracker
 from repro.obs.window import WINDOW_SCHEMA, RollingCounter, RollingHistogram
 
 #: How many recent / slowest requests ``/debug/requests`` retains.
@@ -102,24 +102,17 @@ class RequestLog:
 class ServiceTelemetry:
     """The per-server aggregation point for finished requests."""
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic, *,
-                 objectives=DEFAULT_OBJECTIVES,
-                 request_log_size: int = REQUEST_LOG_SIZE,
-                 slow_request_s: float = SLOW_REQUEST_S) -> None:
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
-        self.slow_request_s = slow_request_s
-        self.requests_fast = RollingCounter(
-            names.WINDOW_REQUESTS, 1.0, 60, clock)
-        self.requests_slow = RollingCounter(
-            names.WINDOW_REQUESTS, 60.0, 60, clock)
         self.errors_fast = RollingCounter(names.WINDOW_ERRORS, 1.0, 60, clock)
         self.errors_slow = RollingCounter(names.WINDOW_ERRORS, 60.0, 60, clock)
         self.latency_fast = RollingHistogram(
             names.WINDOW_LATENCY_SECONDS, 1.0, 60, clock)
         self.latency_slow = RollingHistogram(
             names.WINDOW_LATENCY_SECONDS, 60.0, 60, clock)
-        self.slo = SLOTracker(objectives, clock=clock)
-        self.request_log = RequestLog(request_log_size)
+        self.slo = SLOTracker((self.latency_fast, self.latency_slow),
+                              (self.errors_fast, self.errors_slow))
+        self.request_log = RequestLog()
         self._eval_epoch: int | None = None
 
     # -- ingest ---------------------------------------------------------------
@@ -135,24 +128,21 @@ class ServiceTelemetry:
         trustworthy denominators.
         """
         now = self._clock()
-        status_class = f"{status // 100}xx"
         error = status >= 500
 
-        obs.counter(names.SERVE_REQUESTS)
-        obs.counter(names.SERVE_REQUESTS, status_class=status_class)
         session = obs.session()
         if session is not None:
+            obs.counter(names.SERVE_REQUESTS)
+            obs.counter(names.SERVE_REQUESTS,
+                        status_class=f"{status // 100}xx")
             session.metrics.timer(
                 names.SERVE_REQUEST_SECONDS).observe(duration_s)
 
-        self.requests_fast.inc(1.0, now=now)
-        self.requests_slow.inc(1.0, now=now)
         if error:
             self.errors_fast.inc(1.0, now=now)
             self.errors_slow.inc(1.0, now=now)
         self.latency_fast.observe(duration_s, now=now)
         self.latency_slow.observe(duration_s, now=now)
-        self.slo.record(error=error, duration_s=duration_s, now=now)
 
         self.request_log.add({
             "request_id": request_id,
@@ -163,7 +153,7 @@ class ServiceTelemetry:
             "duration_s": round(duration_s, 6),
             "trace": trace,
         })
-        if error or duration_s >= self.slow_request_s:
+        if error or duration_s >= SLOW_REQUEST_S:
             obs.log_event(
                 names.EVENT_SERVE_REQUEST,
                 level="error" if error else "warning",
@@ -184,26 +174,25 @@ class ServiceTelemetry:
         """The ``windows`` block ``/metrics`` serves next to the snapshot."""
         now = self._clock() if now is None else now
         out: dict = {"window_schema": WINDOW_SCHEMA}
-        for label, requests, errors, latency in (
-                ("fast", self.requests_fast, self.errors_fast,
-                 self.latency_fast),
-                ("slow", self.requests_slow, self.errors_slow,
-                 self.latency_slow)):
-            total = requests.total(now=now)
+        for label, errors, latency in (
+                ("fast", self.errors_fast, self.latency_fast),
+                ("slow", self.errors_slow, self.latency_slow)):
+            summary = latency.summary(now=now)
+            total = summary["count"]
             errs = errors.total(now=now)
             out[label] = {
-                "bucket_s": requests.bucket_s,
-                "buckets": requests.buckets,
+                "bucket_s": latency.bucket_s,
+                "buckets": latency.buckets,
                 names.WINDOW_REQUESTS: {
-                    "total": int(total),
-                    "rate_per_s": round(requests.rate(now=now), 3),
-                    "series": requests.series(now=now),
+                    "total": total,
+                    "rate_per_s": round(total / latency.span_s(now), 3),
+                    "series": [float(n) for n in latency.series(now=now)],
                 },
                 names.WINDOW_ERRORS: {
                     "total": int(errs),
                     "error_rate": round(errs / total, 6) if total else 0.0,
                 },
-                names.WINDOW_LATENCY_SECONDS: latency.summary(now=now),
+                names.WINDOW_LATENCY_SECONDS: summary,
             }
         return out
 

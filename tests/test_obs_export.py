@@ -65,6 +65,16 @@ class TestMetricsEndpoint:
         assert status == 200
         assert events["events"][0]["event"] == "experiment.started"
 
+    def test_uptime_survives_a_wall_clock_step(self, monkeypatch):
+        import time
+
+        with MetricsServer() as server:
+            real = time.time
+            monkeypatch.setattr(time, "time", lambda: real() - 3600.0)
+            status, health = _get(f"{server.url}/healthz")
+        assert status == 200
+        assert 0.0 <= health["uptime_s"] < 60.0
+
     def test_unknown_path_is_404_with_hint(self):
         obs.enable(fresh=True)
         with MetricsServer() as server:

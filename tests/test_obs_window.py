@@ -1,24 +1,29 @@
 """Tests of the service-observability substrate.
 
 Covers the rolling-window instruments (:mod:`repro.obs.window`), the
-burn-rate SLO tracker (:mod:`repro.obs.slo`), trace-context propagation
-across thread-pool hops (:mod:`repro.obs.tracing`), and the bounded
-structured-log buffer (:mod:`repro.obs.log`).  Everything time-based
-runs against injected fake clocks — no sleeping.
+burn-rate SLO tracker (:mod:`repro.obs.slo`) and the request windows
+it reads, fed through :class:`repro.serve.stats.ServiceTelemetry`,
+trace-context propagation across thread-pool hops
+(:mod:`repro.obs.tracing`), and the bounded structured-log buffer
+(:mod:`repro.obs.log`).  Everything time-based runs against injected
+fake clocks — no sleeping.
 """
 
 import contextvars
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.obs import names
 from repro.obs.log import DEFAULT_LOG_BUFFER, StructuredLog, parse_jsonl
-from repro.obs.slo import FAST_BURN, SLObjective, SLOTracker
+from repro.obs.slo import FAST_BURN, OBJECTIVES, SLObjective
 from repro.obs.tracing import Tracer
 from repro.obs.window import RollingCounter, RollingHistogram
+from repro.serve.stats import ServiceTelemetry
 
 
 @pytest.fixture(autouse=True)
@@ -39,6 +44,15 @@ class FakeClock:
     def advance(self, dt: float) -> float:
         self.t += dt
         return self.t
+
+
+def record(stats: ServiceTelemetry, *, error: bool = False,
+           duration_s: float = 0.001, status: int | None = None) -> None:
+    """One finished request: a 500 if ``error``, else a 200."""
+    if status is None:
+        status = 500 if error else 200
+    stats.record(method="POST", path="/predict", status=status,
+                 duration_s=duration_s, request_id="r")
 
 
 class TestRollingCounter:
@@ -68,18 +82,6 @@ class TestRollingCounter:
         clock.advance(4)           # same ring slot, four epochs later
         counter.inc(1.0)
         assert counter.total() == 1.0
-
-    def test_rate_uses_lifetime_not_window_when_young(self):
-        # A two-second-old service reports its actual rate, not one
-        # diluted over an empty minute.
-        clock = FakeClock()
-        counter = RollingCounter("window.requests", 1.0, 60, clock)
-        counter.inc(10.0)
-        clock.advance(2)
-        assert counter.rate() == pytest.approx(5.0)
-        clock.advance(120)
-        counter.inc(60.0)
-        assert counter.rate() == pytest.approx(1.0)
 
     def test_series_is_oldest_to_newest(self):
         clock = FakeClock()
@@ -165,6 +167,21 @@ class TestRollingHistogram:
         assert quantiles[-3] is not None
         assert quantiles[-3] > quantiles[-1]
 
+    def test_counts_at_a_bin_edge_are_exact(self):
+        clock = FakeClock()
+        hist = RollingHistogram("window.latency_seconds", 1.0, 60, clock)
+        for v in (0.125, math.nextafter(0.25, 0.0), 0.25,
+                  math.nextafter(0.25, 1.0), 0.5, 9.0):
+            hist.observe(v)
+        clock.advance(10)
+        hist.observe(0.3)
+        assert hist.counts(0.25) == (7, 5)
+        assert hist.counts(0.25, last=5) == (1, 1)
+        assert hist.counts(0.5) == (7, 2)
+        assert hist.counts(2.0 ** -30) == (7, 7)
+        clock.advance(60)
+        assert hist.counts(0.25) == (0, 0)
+
     def test_merged_matches_cumulative_histogram_layout(self):
         clock = FakeClock()
         hist = RollingHistogram("window.latency_seconds", 1.0, 60, clock)
@@ -184,25 +201,48 @@ class TestSLObjective:
         with pytest.raises(ValueError):
             SLObjective(name="x", kind="latency", target=0.9)
 
-    def test_is_bad(self):
-        avail = SLObjective(name="a", kind="availability", target=0.999)
-        lat = SLObjective(name="l", kind="latency", target=0.99,
-                          threshold_s=0.25)
-        assert avail.is_bad(error=True, duration_s=0.001)
-        assert not avail.is_bad(error=False, duration_s=9.0)
-        assert lat.is_bad(error=False, duration_s=0.25)
-        assert not lat.is_bad(error=False, duration_s=0.2)
+    @pytest.mark.parametrize("threshold_s", [-0.25, 0.0, 0.3, math.nan,
+                                             math.inf, 2.0 ** -31,
+                                             2.0 ** 40])
+    def test_latency_threshold_must_be_a_power_of_two(self, threshold_s):
+        # -0.25 would make every request bad and NaN or inf none; 0.3
+        # falls inside a bin and 2**-31, 2**40 in the clamped end bins,
+        # so the windowed bins cannot count them.
+        with pytest.raises(ValueError):
+            SLObjective(name="x", kind="latency", target=0.9,
+                        threshold_s=threshold_s)
+
+    def test_power_of_two_thresholds_accepted(self):
+        for threshold_s in (0.25, 1.0, 2.0 ** -30, 2.0 ** 39):
+            SLObjective(name="x", kind="latency", target=0.9,
+                        threshold_s=threshold_s)
 
 
 class TestSLOTracker:
+    """The tracker over the server's windows, fed by ``record``."""
+
+    def test_bad_request_classification(self):
+        clock = FakeClock()
+
+        def bad_1m(error, duration_s):
+            stats = ServiceTelemetry(clock=clock)
+            record(stats, error=error, duration_s=duration_s)
+            objectives = stats.slo.state(clock())["objectives"]
+            return {name: objectives[name]["windows"]["1m"]["bad"]
+                    for name in ("availability", "latency")}
+
+        assert bad_1m(True, 0.001)["availability"] == 1
+        assert bad_1m(False, 9.0)["availability"] == 0
+        assert bad_1m(False, 0.25)["latency"] == 1
+        assert bad_1m(False, 0.2)["latency"] == 0
+
     def test_burn_rate_math(self):
         clock = FakeClock()
-        tracker = SLOTracker(
-            (SLObjective(name="availability", kind="availability",
-                         target=0.999),), clock=clock)
+        stats = ServiceTelemetry(clock=clock)
         for i in range(10):
-            tracker.record(error=(i < 5), duration_s=0.001)
-        win = tracker.state()["objectives"]["availability"]["windows"]
+            record(stats, error=(i < 5), duration_s=0.001)
+        win = stats.slo.state(clock())["objectives"]["availability"][
+            "windows"]
         assert win["1m"]["total"] == 10
         assert win["1m"]["bad"] == 5
         assert win["1m"]["bad_fraction"] == pytest.approx(0.5)
@@ -216,15 +256,15 @@ class TestSLOTracker:
         # inside one 60 s bucket and evaluating 6 minutes later --
         # the 1 m ring has wrapped but the slow ring still holds it.
         clock = FakeClock()
-        tracker = SLOTracker(clock=clock)
+        stats = ServiceTelemetry(clock=clock)
         for _ in range(20):
-            tracker.record(error=True, duration_s=0.001)
-        state = tracker.state()
+            record(stats, error=True, duration_s=0.001)
+        state = stats.slo.state(clock())
         assert state["status"] == "degraded"    # both windows burning
         clock.advance(90)                       # out of 1m, still in 5m
         for _ in range(200):
-            tracker.record(error=False, duration_s=0.001)
-        state = tracker.state()
+            record(stats, error=False, duration_s=0.001)
+        state = stats.slo.state(clock())
         win = state["objectives"]["availability"]["windows"]
         assert win["5m"]["burn_rate"] >= FAST_BURN
         assert win["1m"]["burn_rate"] < FAST_BURN
@@ -232,33 +272,34 @@ class TestSLOTracker:
 
     def test_degrade_and_recover_cycle(self):
         clock = FakeClock()
-        tracker = SLOTracker(clock=clock)
+        stats = ServiceTelemetry(clock=clock)
         for _ in range(50):
-            tracker.record(error=True, duration_s=0.001)
-        assert tracker.state()["status"] == "degraded"
-        assert "availability" in tracker.state()["degraded_objectives"]
+            record(stats, error=True, duration_s=0.001)
+        assert stats.slo.state(clock())["status"] == "degraded"
+        assert "availability" in stats.slo.state(clock())[
+            "degraded_objectives"]
         clock.advance(6 * 60)                   # bad epoch leaves 1m and 5m
         for _ in range(50):
-            tracker.record(error=False, duration_s=0.001)
-        state = tracker.state()
+            record(stats, error=False, duration_s=0.001)
+        state = stats.slo.state(clock())
         assert state["status"] == "ok"
         assert state["degraded_objectives"] == []
 
     def test_latency_objective_counts_slow_requests_as_bad(self):
         clock = FakeClock()
-        tracker = SLOTracker(clock=clock)
-        tracker.record(error=False, duration_s=0.5)    # slow but 200
-        win = tracker.state()["objectives"]
+        stats = ServiceTelemetry(clock=clock)
+        record(stats, error=False, duration_s=0.5)     # slow but 200
+        win = stats.slo.state(clock())["objectives"]
         assert win["latency"]["windows"]["1m"]["bad"] == 1
         assert win["availability"]["windows"]["1m"]["bad"] == 0
 
     def test_evaluate_emits_transition_events_and_gauges(self):
         tel = obs.enable(fresh=True)
         clock = FakeClock()
-        tracker = SLOTracker(clock=clock)
+        stats = ServiceTelemetry(clock=clock)
         for _ in range(50):
-            tracker.record(error=True, duration_s=0.001)
-        tracker.evaluate()
+            record(stats, error=True, duration_s=0.001)
+        stats.slo_state()
         degraded = tel.log.query(names.EVENT_SLO_DEGRADED)
         assert len(degraded) == 1
         assert degraded[0]["objective"] == "availability"
@@ -270,21 +311,111 @@ class TestSLOTracker:
                     + "{objective=availability,window=1m}")
         assert snap[burn_key]["value"] >= FAST_BURN
 
-        tracker.evaluate()                      # steady state: no re-emit
+        stats.slo_state()                       # steady state: no re-emit
         assert len(tel.log.query(names.EVENT_SLO_DEGRADED)) == 1
 
         clock.advance(6 * 60)
-        tracker.record(error=False, duration_s=0.001)
-        tracker.evaluate()
+        record(stats, error=False, duration_s=0.001)
+        stats.slo_state()
         assert len(tel.log.query(names.EVENT_SLO_RECOVERED)) == 1
         assert tel.metrics.snapshot()[key]["value"] == 0.0
 
-    def test_bad_configurations_rejected(self):
-        with pytest.raises(ValueError):
-            SLOTracker(())
-        dup = SLObjective(name="a", kind="availability", target=0.9)
-        with pytest.raises(ValueError):
-            SLOTracker((dup, dup))
+    def test_server_holds_four_rings_and_the_tracker_none(self,
+                                                          monkeypatch):
+        stats = ServiceTelemetry()
+        rings = [v for v in vars(stats).values()
+                 if isinstance(v, (RollingCounter, RollingHistogram))]
+        assert len(rings) == 4
+        assert not [v for v in vars(stats.slo).values()
+                    if isinstance(v, (RollingCounter, RollingHistogram))]
+
+        writes = []
+        for cls, method in ((RollingCounter, "inc"),
+                            (RollingHistogram, "observe")):
+            real = getattr(cls, method)
+            monkeypatch.setattr(
+                cls, method,
+                lambda self, *a, _real=real, **k: (writes.append(self),
+                                                   _real(self, *a, **k)))
+        record(stats, status=200, duration_s=0.001)
+        assert len(writes) == 2
+        record(stats, status=503, duration_s=0.001)
+        assert len(writes) == 2 + 4
+
+
+_JUMPS = [0.0, 0.01, 0.3, 0.99, 1.0, 4.5, 59.0, 61.0, 240.0, 299.0,
+          301.0, 3599.0, 4000.0]
+_STATUSES = [200, 400, 404, 500, 503]
+_DURATIONS = [0.0, 0.001, 0.125, 0.2, math.nextafter(0.25, 0.0), 0.25,
+              math.nextafter(0.25, 1.0), 0.5, 9.0]
+
+
+class TestRequestWindows:
+    """``/metrics`` and ``/healthz`` windows read back the raw requests."""
+
+    def test_rate_uses_lifetime_not_window_when_young(self):
+        # A two-second-old service reports its actual rate, not one
+        # diluted over an empty minute.
+        clock = FakeClock()
+        stats = ServiceTelemetry(clock=clock)
+
+        def rate():
+            return stats.windows_payload()["fast"][names.WINDOW_REQUESTS][
+                "rate_per_s"]
+
+        for _ in range(10):
+            record(stats)
+        clock.advance(2)
+        assert rate() == pytest.approx(5.0)
+        clock.advance(120)
+        for _ in range(60):
+            record(stats)
+        assert rate() == pytest.approx(1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_JUMPS),
+                              st.sampled_from(_STATUSES),
+                              st.sampled_from(_DURATIONS)),
+                    min_size=1, max_size=60),
+           st.sampled_from(_JUMPS))
+    def test_windows_match_a_brute_force_count(self, stream, final_jump):
+        clock = FakeClock()
+        stats = ServiceTelemetry(clock=clock)
+        requests = []
+        for jump, status, duration_s in stream:
+            clock.advance(jump)
+            record(stats, status=status, duration_s=duration_s)
+            requests.append((clock(), status, duration_s))
+        now = clock.advance(final_jump)
+
+        def live(bucket_s, buckets):
+            cur = int(now // bucket_s)
+            return [r for r in requests
+                    if cur - buckets < int(r[0] // bucket_s) <= cur]
+
+        def is_bad(objective, status, duration_s):
+            if objective.kind == "availability":
+                return status >= 500
+            return duration_s >= objective.threshold_s
+
+        windows = {"1m": live(1.0, 60), "5m": live(60.0, 5),
+                   "1h": live(60.0, 60)}
+        state = stats.slo.state(now)
+        for obj in OBJECTIVES:
+            for label, reqs in windows.items():
+                got = state["objectives"][obj.name]["windows"][label]
+                assert got["total"] == len(reqs)
+                assert got["bad"] == sum(is_bad(obj, status, d)
+                                         for _, status, d in reqs)
+        payload = stats.windows_payload(now)
+        for label, reqs in (("fast", windows["1m"]),
+                            ("slow", windows["1h"])):
+            assert payload[label][names.WINDOW_REQUESTS]["total"] \
+                == len(reqs)
+            assert sum(payload[label][names.WINDOW_REQUESTS]["series"]) \
+                == len(reqs)
+            assert payload[label][names.WINDOW_ERRORS]["total"] \
+                == sum(status >= 500 for _, status, _ in reqs)
 
 
 class TestTraceContextPropagation:

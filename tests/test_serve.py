@@ -244,6 +244,50 @@ class TestHTTPEndpoints:
         assert status == 400
         assert "not JSON" in payload["error"]
 
+    def test_over_deep_json_body_is_400_and_recorded_once(self):
+        # json.loads raises RecursionError, not JSONDecodeError, on deep
+        # nesting: the request still gets its 400 and its one record.
+        tel = obs.enable(fresh=True)
+        stats = ServiceTelemetry()
+        body = b"[" * 100_000
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            try:
+                writer.write(
+                    (f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                     f"X-Repro-Request-Id: deep-1\r\n"
+                     f"Content-Length: {len(body)}\r\n"
+                     "Connection: close\r\n\r\n").encode() + body)
+                await writer.drain()
+                return await _read_response(reader)
+            finally:
+                writer.close()
+
+        status, headers, raw = run_with_server(scenario, stats=stats)
+        assert status == 400
+        assert headers["x-repro-request-id"] == "deep-1"
+        assert "not JSON" in json.loads(raw)["error"]
+        assert [e["status"] for e in stats.request_log.recent()] == [400]
+        snap = tel.metrics.snapshot()
+        assert snap[_names.SERVE_REQUESTS]["value"] == 1
+        assert snap[_names.SERVE_REQUESTS + "{status_class=4xx}"][
+            "value"] == 1
+
+    def test_uptime_survives_a_wall_clock_step(self, monkeypatch):
+        import time
+
+        async def scenario(server):
+            real = time.time
+            monkeypatch.setattr(time, "time", lambda: real() - 3600.0)
+            return await http_request(server.host, server.port, "GET",
+                                      "/healthz")
+
+        status, payload = run_with_server(scenario)
+        assert status == 200
+        assert 0.0 <= payload["uptime_s"] < 60.0
+
     def test_empty_body_is_400(self):
         status, payload = run_with_server(
             lambda server: http_request(server.host, server.port, "POST",
