@@ -427,6 +427,8 @@ def _cmd_serve(args) -> int:
 
 
 async def _announce_and_serve(server) -> None:
+    import asyncio
+
     await server.start()
     print(f"repro serve listening on {server.url}")
     print("  POST /predict         one (machine, workload, allocation) cell")
@@ -437,7 +439,11 @@ async def _announce_and_serve(server) -> None:
     print("  GET  /debug/requests  recent/slowest requests with span trees")
     print("  GET  /dashboard       script-free inline-SVG live dashboard")
     try:
-        await server._server.serve_forever()
+        # start() is already serving.  Wait to be cancelled (SIGINT) and
+        # let stop() drain: on Python 3.12+ the cancellation path of
+        # Server.serve_forever waits for every connection to close, idle
+        # keep-alive ones included, before stop() could close them.
+        await asyncio.Event().wait()
     finally:
         await server.stop()
 

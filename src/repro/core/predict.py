@@ -21,8 +21,8 @@ Every solve consults the content-addressed cache in :mod:`repro.perf`,
 so once warm a served prediction is a memoized profile plus one flow-cache
 hit per cell; the batch entry point :func:`predict_sweep` pools cold cells
 through the lock-step kernel exactly like the sweep drivers do.
-:func:`flow_cells` names the cells a prediction solves, so a caller can
-ask the cache whether an answer needs a solve at all.
+:func:`flow_cells` names the cells a prediction solves: the
+allocations and their one-core baselines.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@
 analytical solves — identical (machine, profile, allocation) triples in
 ``runtime.flow`` and identical closed networks in ``qnet.mva`` — return
 previously computed results bit-identically instead of re-running the
-MVA recursions, plus the memo of calibrated profiles those solves key on.  Hit/miss/eviction counters are mirrored into the
-``repro.obs`` telemetry session as ``perf.cache.<name>.*``.
+MVA recursions, plus the memo of calibrated profiles those solves key on
+and the memo of encoded ``repro serve`` answers.  Hit/miss/eviction
+counters are mirrored into the ``repro.obs`` telemetry session as
+``perf.cache.<name>.*``.
 
 Disable with ``REPRO_PERF_CACHE=0`` or :func:`set_enabled`.
 """
@@ -20,6 +22,7 @@ from repro.perf.cache import (
     flow_cache,
     mva_cache,
     profile_cache,
+    response_cache,
     set_enabled,
 )
 from repro.perf.keys import fingerprint, flow_key, mva_key
@@ -37,5 +40,6 @@ __all__ = [
     "mva_cache",
     "mva_key",
     "profile_cache",
+    "response_cache",
     "set_enabled",
 ]

@@ -1,6 +1,6 @@
 """Bounded LRU memoization caches for the analytical solvers.
 
-Three process-global caches back the fast path:
+Four process-global caches back the fast path:
 
 * :data:`flow_cache` — full ``runtime.flow`` solutions, keyed on the
   content hash of (machine, profile, allocation);
@@ -8,7 +8,10 @@ Three process-global caches back the fast path:
   results and the flow solver's internal per-chain throughputs;
 * :data:`profile_cache` — calibrated memory profiles, keyed on
   (program, class, machine fingerprint), so equal requests share one
-  profile object and its identity-memoized fingerprint.
+  profile object and its identity-memoized fingerprint;
+* :data:`response_cache` — the encoded bytes of exact ``repro serve``
+  answers, keyed on (path, SHA-256 of the request body), so a repeated
+  ``/predict`` or ``/recommend`` body is answered before JSON decoding.
 
 All are enabled by default, bounded (LRU eviction) and observable: each
 lookup bumps local hit/miss counters, mirrored into the active telemetry
@@ -88,13 +91,6 @@ class MemoCache:
             tel.metrics.counter(metric).inc()
         return value
 
-    def peek(self, key) -> object:
-        """The cached value, or :data:`MISS`, moving no counter or recency."""
-        if not self.enabled:
-            return MISS
-        with self._lock:
-            return self._data.get(key, MISS)
-
     def put(self, key, value) -> None:
         """Insert ``key -> value``, evicting the LRU entry when full."""
         if not self.enabled:
@@ -143,12 +139,6 @@ class MemoCache:
         with self._lock:
             return len(self._data)
 
-    def __contains__(self, key) -> bool:
-        if not self.enabled:
-            return False
-        with self._lock:
-            return key in self._data
-
 
 def _env_enabled() -> bool:
     return os.environ.get("REPRO_PERF_CACHE", "1") not in ("0", "false", "")
@@ -160,8 +150,10 @@ flow_cache = MemoCache("flow", maxsize=4096, enabled=_env_enabled())
 mva_cache = MemoCache("mva", maxsize=32768, enabled=_env_enabled())
 #: Calibrated memory profiles; one entry per (program, class, machine).
 profile_cache = MemoCache("profile", maxsize=1024, enabled=_env_enabled())
+#: Encoded exact service answers; one entry per (path, body digest).
+response_cache = MemoCache("response", maxsize=1024, enabled=_env_enabled())
 
-_ALL = (flow_cache, mva_cache, profile_cache)
+_ALL = (flow_cache, mva_cache, profile_cache, response_cache)
 
 
 def set_enabled(flag: bool) -> None:

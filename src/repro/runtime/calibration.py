@@ -272,10 +272,6 @@ def apply_knobs(profile: MemoryProfile,
     return profile
 
 
-def _profile_key(program: str, size: str, machine: Machine) -> tuple:
-    return (program, size, cached_fingerprint(machine))
-
-
 def calibrate_profile(program: str, size: str,
                       machine: Machine) -> MemoryProfile:
     """The calibrated memory profile for (program, class) on ``machine``.
@@ -287,7 +283,7 @@ def calibrate_profile(program: str, size: str,
     get the same frozen profile object, whose fingerprint the flow-cache
     keys then find memoized by identity.
     """
-    key = _profile_key(program, size, machine)
+    key = (program, size, cached_fingerprint(machine))
     profile = profile_cache.get(key)
     if profile is MISS:
         profile = get_workload(program).profile(size, machine)
@@ -298,17 +294,6 @@ def calibrate_profile(program: str, size: str,
         profile_cache.put(key, profile)
     obs.counter(_names.CALIBRATION_PROFILE_LOOKUPS)
     return cast(MemoryProfile, profile)
-
-
-def memoized_profile(program: str, size: str,
-                     machine: Machine) -> MemoryProfile | None:
-    """The profile :func:`calibrate_profile` has memoized, else None.
-
-    A pure look for callers deciding whether an answer is already
-    cached: it counts no lookup and moves no cache counter or recency.
-    """
-    profile = profile_cache.peek(_profile_key(program, size, machine))
-    return None if profile is MISS else cast(MemoryProfile, profile)
 
 
 def regenerate_table() -> dict[tuple[str, str, str], dict[str, float]]:

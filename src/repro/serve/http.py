@@ -17,15 +17,17 @@ third-party frameworks) that frames requests and routes them:
 
 Every request gets a ``request_id`` (honouring a well-formed
 client-supplied ``X-Repro-Request-Id``), echoed on the response and
-stamped on the ``serve.request`` span.  A request whose every flow cell
-is already in the flow cache (and whose calibrated profile is memoized)
-is answered by the handler on the event loop: it is a handful of
-dictionary lookups, cheaper than the thread hop.  Every request that
-needs a solve runs on a small thread pool (``run_in_executor``) under
-``contextvars.copy_context()``, so a cold solve never stalls framing,
-and spans the solver opens in a pool thread parent to the dispatching
-request's span instead of orphaning — that is what makes the
-``/debug/requests`` trace trees complete on both paths.
+stamped on the ``serve.request`` span.  A ``/predict`` or ``/recommend``
+body is first looked up, before JSON decoding, in
+:data:`repro.perf.response_cache` under (path, SHA-256 of the raw
+body): a hit is answered on the event loop with the stored bytes.  A
+miss runs its handler on a small thread pool (``run_in_executor``)
+under ``contextvars.copy_context()``, so a cold solve never stalls
+framing, and spans the solver opens in a pool thread parent to the
+dispatching request's span instead of orphaning — that is what makes
+the ``/debug/requests`` trace trees complete.  Only a 200 whose every
+solve ran on the exact rung fills the memo, and while a flow fault is
+armed the memo is neither read nor filled.
 
 Every response path — including malformed-framing rejections — is
 recorded exactly once on the server's
@@ -34,14 +36,19 @@ have trustworthy denominators.
 
 Connections are keep-alive by default (HTTP/1.1), closed on
 ``Connection: close``, malformed framing, or a read (the head, or the
-body) that takes longer than ``read_timeout_s``.  Bodies are capped at
-:data:`MAX_BODY_BYTES`.
+body) that takes longer than ``read_timeout_s``.  A request with a
+``Transfer-Encoding`` gets 501 and one with a repeated or non-decimal
+``Content-Length`` gets 400; bodies are capped at
+:data:`MAX_BODY_BYTES`.  :meth:`PredictionServer.stop` stops accepting,
+closes connections waiting for a request head and returns once the
+in-flight responses are written.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
+import hashlib
 import json
 import re
 import time
@@ -50,14 +57,13 @@ from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs
 
 from repro import obs
+from repro.obs import names
 from repro.obs.export import events_payload, healthz_payload, metrics_payload
 from repro.obs.tracing import Span
-from repro.serve.service import (
-    handle_predict,
-    handle_recommend,
-    predict_memoized,
-    recommend_memoized,
-)
+from repro.perf.cache import MISS, response_cache
+from repro.resilience.faultinject import solver_fault_armed
+from repro.runtime.flow import FLOW_SITE
+from repro.serve.service import exact_answer, handle_predict, handle_recommend
 from repro.serve.stats import ServiceTelemetry
 
 #: Largest accepted request body; predict/recommend bodies are tiny.
@@ -68,7 +74,8 @@ _MAX_HEAD_BYTES = 1 << 14
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
-            500: "Internal Server Error", 503: "Service Unavailable"}
+            500: "Internal Server Error", 501: "Not Implemented",
+            503: "Service Unavailable"}
 
 _ENDPOINTS = ["/predict", "/recommend", "/metrics", "/healthz", "/events",
               "/debug/requests", "/dashboard"]
@@ -103,6 +110,9 @@ class PredictionServer:
         self._server: asyncio.base_events.Server | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._started_at: float | None = None
+        self._connections: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()  # awaiting a head
+        self._closing = False
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -112,16 +122,27 @@ class PredictionServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self._workers,
             thread_name_prefix="repro-serve-worker")
+        self._closing = False
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+            self._accept, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
         return self
 
     async def stop(self) -> None:
+        """Stop accepting, close idle connections, drain the in-flight ones.
+
+        A connection waiting for a request head is closed at once; one
+        reading a body or being answered writes that response (with
+        ``Connection: close``) and then closes.
+        """
         if self._server is None:
             return
         self._server.close()
+        self._closing = True
+        for writer in list(self._idle):
+            writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
         if self._executor is not None:
@@ -147,12 +168,22 @@ class PredictionServer:
 
     # -- request handling -----------------------------------------------------
 
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Start one connection's task, tracked so :meth:`stop` can drain it."""
+        if self._closing:  # accepted before stop(), connected after it
+            writer.close()
+            return
+        task = asyncio.get_running_loop().create_task(
+            self._serve_connection(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         try:
-            while True:
-                keep_alive = await self._serve_one(reader, writer)
-                if not keep_alive:
+            while not self._closing:
+                if not await self._serve_one(reader, writer):
                     break
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.LimitOverrunError):
@@ -182,38 +213,28 @@ class PredictionServer:
     async def _serve_one(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> bool:
         """Frame and answer one request; returns keep-alive?"""
-        head = await self._read(reader.readuntil(b"\r\n\r\n"), writer)
-        t0 = time.perf_counter()
-        if len(head) > _MAX_HEAD_BYTES:
-            await self._finish(
-                writer, 400, {"error": "request head too large"}, close=True,
-                t0=t0, method="?", path="?", request_id=new_request_id())
-            return False
+        self._idle.add(writer)
         try:
+            head = await self._read(reader.readuntil(b"\r\n\r\n"), writer)
+        finally:
+            self._idle.discard(writer)
+        t0 = time.perf_counter()
+        method = path = "?"
+        headers: dict[str, str] = {}
+        rejected: _Rejected | None = None
+        try:
+            if len(head) > _MAX_HEAD_BYTES:
+                raise _Rejected(400, "request head too large")
             method, path, headers = _parse_head(head)
-        except ValueError as exc:
-            await self._finish(
-                writer, 400, {"error": str(exc)}, close=True,
-                t0=t0, method="?", path="?", request_id=new_request_id())
-            return False
+            length = _content_length(headers)
+        except _Rejected as exc:
+            rejected = exc
         request_id = headers.get("x-repro-request-id", "")
         if not _REQUEST_ID_RE.match(request_id):
             request_id = new_request_id()
-        close = headers.get("connection", "").lower() == "close"
-
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
+        if rejected is not None:
             await self._finish(
-                writer, 400, {"error": "malformed Content-Length"},
-                close=True, t0=t0, method=method, path=path,
-                request_id=request_id)
-            return False
-        if length < 0 or length > MAX_BODY_BYTES:
-            await self._finish(
-                writer, 413, {
-                    "error": f"body of {length} bytes exceeds the "
-                             f"{MAX_BODY_BYTES}-byte limit"},
+                writer, rejected.status, {"error": str(rejected)},
                 close=True, t0=t0, method=method, path=path,
                 request_id=request_id)
             return False
@@ -223,6 +244,8 @@ class PredictionServer:
 
         status, payload, trace = await self._route(
             method, path, raw, request_id)
+        close = self._closing \
+            or headers.get("connection", "").lower() == "close"
         await self._finish(writer, status, payload, close=close, t0=t0,
                            method=method, path=path, request_id=request_id,
                            trace=trace)
@@ -260,35 +283,36 @@ class PredictionServer:
 
     async def _handle_post(self, path: str, raw: bytes, request_id: str
                            ) -> tuple[int, object, dict | None]:
-        """Decode, trace and answer one handler call, on the loop or the pool.
+        """Answer one POST from the response memo or a handler on the pool.
 
-        The ``serve.request`` span carries the ``request_id`` label.
-        When the caches already hold the answer the handler runs right
-        here, inside this context; otherwise it runs on the pool inside
-        a *copy* of it.  Either way solver spans nest under the request
-        span and structured log events emitted below pick the id up.
-
-        The cache look and the handler call are not atomic: a pool
-        thread may evict an entry in between.  The answer stays correct
-        (the handler solves what it misses) and only that one request
-        solves on the loop.
+        The ``serve.request`` span carries the ``request_id`` label.  A
+        memo hit is answered inside it on the loop, bumping the outcome
+        counter the handler would; a miss runs the handler on the pool
+        inside a *copy* of this context, so solver spans nest under the
+        request span and structured log events emitted below pick the
+        id up.
         """
-        try:
-            body = json.loads(raw.decode("utf-8")) if raw else None
-        # json.loads raises RecursionError on over-deep nesting.
-        except (json.JSONDecodeError, UnicodeDecodeError,
-                RecursionError) as exc:
-            return 400, {"error": f"request body is not JSON: {exc}"}, None
-        if body is None:
-            return 400, {"error": "request body must be a JSON object"}, None
         if path == "/predict":
-            handler, memoized = handle_predict, predict_memoized
+            handler, counter = handle_predict, names.SERVE_PREDICTIONS
         else:
-            handler, memoized = handle_recommend, recommend_memoized
+            handler, counter = handle_recommend, names.SERVE_RECOMMENDATIONS
+        key = (path, hashlib.sha256(raw).digest())
+        memo = not solver_fault_armed(FLOW_SITE)
+        answer = response_cache.get(key) if memo else MISS
+        if answer is MISS:
+            try:
+                body = json.loads(raw.decode("utf-8")) if raw else None
+            # json.loads raises RecursionError on over-deep nesting.
+            except (json.JSONDecodeError, UnicodeDecodeError,
+                    RecursionError) as exc:
+                return 400, {"error": f"request body is not JSON: {exc}"}, None
+            if body is None:
+                return 400, {"error": "request body must be a JSON object"}, None
         with obs.span("serve.request", request_id=request_id,
                       path=path) as req_span:
-            if memoized(body):
-                status, payload = handler(body)
+            if answer is not MISS:
+                obs.counter(counter)
+                status = 200
             else:
                 loop = asyncio.get_running_loop()
                 ctx = contextvars.copy_context()
@@ -301,7 +325,13 @@ class PredictionServer:
             # request ring, where /debug/requests can find it by id.
             req_span.tracer.detach_root(req_span)
             trace = req_span.to_dict()
-        return status, payload, trace
+        if answer is MISS:
+            answer = payload
+            if status == 200 and memo and exact_answer(payload) \
+                    and not solver_fault_armed(FLOW_SITE):
+                answer = json.dumps(payload, sort_keys=True).encode()
+                response_cache.put(key, answer)
+        return status, answer, trace
 
     def _handle_get(self, path: str, query: str) -> tuple[int, object]:
         if path == "/metrics":
@@ -331,16 +361,24 @@ class PredictionServer:
         return 200, render_dashboard(self)
 
 
+class _Rejected(ValueError):
+    """Refused framing: answered with ``status``, then the connection closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:
-    """Split a request head into (method, path, lower-cased headers)."""
-    try:
-        text = head.decode("latin-1")
-    except UnicodeDecodeError:  # pragma: no cover - latin-1 never fails
-        raise ValueError("undecodable request head") from None
-    lines = text.split("\r\n")
+    """Split a request head into (method, path, lower-cased headers).
+
+    A repeated header's values are joined with ``", "`` (RFC 9110
+    §5.3), so a repeated ``Content-Length`` cannot pass as one.
+    """
+    lines = head.decode("latin-1").split("\r\n")
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise ValueError(f"malformed request line {lines[0]!r}")
+        raise _Rejected(400, f"malformed request line {lines[0]!r}")
     method, path, _version = parts
     headers: dict[str, str] = {}
     for line in lines[1:]:
@@ -348,25 +386,53 @@ def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:
             continue
         name, sep, value = line.partition(":")
         if not sep:
-            raise ValueError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+            raise _Rejected(400, f"malformed header line {line!r}")
+        name, value = name.strip().lower(), value.strip(" \t")
+        headers[name] = f"{headers[name]}, {value}" if name in headers \
+            else value
     return method, path, headers
+
+
+def _content_length(headers: dict[str, str]) -> int:
+    """The body length a parsed head announces, or :class:`_Rejected`.
+
+    Transfer codings are not implemented (501, RFC 9112 §6.1);
+    ``Content-Length`` must be one run of ASCII digits (400) of at most
+    :data:`MAX_BODY_BYTES` (413).
+    """
+    if "transfer-encoding" in headers:
+        raise _Rejected(501, "Transfer-Encoding is not supported; "
+                             "send a Content-Length")
+    text = headers.get("content-length", "0")
+    if not (text.isascii() and text.isdigit()):
+        raise _Rejected(400, f"malformed Content-Length {text!r}")
+    # Past the limit's own digit count the value is too large; int()
+    # would even refuse a long enough run (over 4,300 digits).
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) \
+            or int(digits) > MAX_BODY_BYTES:
+        raise _Rejected(413, f"Content-Length over the "
+                             f"{MAX_BODY_BYTES}-byte limit")
+    return int(digits)
 
 
 async def _respond(writer: asyncio.StreamWriter, status: int, payload, *,
                    close: bool, request_id: str | None = None) -> None:
     """Serialise and write one response.
 
-    ``payload`` is a dict (JSON) or a pre-rendered HTML string (the
+    ``payload`` is a dict (JSON), already-encoded JSON bytes (a memoized
+    answer, written unchanged) or a pre-rendered HTML string (the
     dashboard).  The request id, when present, is echoed in the
     ``X-Repro-Request-Id`` header on every path, success or error.
     """
-    if isinstance(payload, str):
+    content_type = "application/json"
+    if isinstance(payload, bytes):
+        body = payload
+    elif isinstance(payload, str):
         body = payload.encode("utf-8")
         content_type = "text/html; charset=utf-8"
     else:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        content_type = "application/json"
     reason = _REASONS.get(status, "Unknown")
     rid_header = f"X-Repro-Request-Id: {request_id}\r\n" if request_id else ""
     head = (f"HTTP/1.1 {status} {reason}\r\n"

@@ -4,10 +4,9 @@ Each handler is a pure function from a decoded JSON body (a ``dict``)
 to an ``(http_status, payload_dict)`` pair — no sockets, no asyncio, no
 threads — so endpoint behaviour is testable with plain function calls
 and the HTTP layer in :mod:`repro.serve.http` stays a thin framing
-loop.  Handlers are thread-safe: the server runs them on a worker pool
-or, when the answer is cached, on the event loop, and everything they
-touch (the memoized solver caches, the telemetry registry) carries its
-own synchronization.
+loop.  Handlers are thread-safe: the server runs them on a worker pool,
+and everything they touch (the memoized solver caches, the telemetry
+registry) carries its own synchronization.
 
 Request shapes (see docs/SERVING.md for the full schema):
 
@@ -20,30 +19,17 @@ Request shapes (see docs/SERVING.md for the full schema):
 
 Validation failures (unknown machine/workload, out-of-range cores,
 wrong types) come back as 400 with an ``"error"`` string; only genuine
-solver faults surface as 500.
-
-:func:`predict_memoized` / :func:`recommend_memoized` tell the HTTP
-layer whether a body's answer is already cached, so it can call the
-handler on the event loop instead of hopping to the pool.
+solver faults surface as 500.  :func:`exact_answer` tells the HTTP
+layer which 200s it may memoize.
 """
 
 from __future__ import annotations
 
-from repro import obs, perf
-from repro.core.predict import (
-    candidate_allocations,
-    flow_cells,
-    predict_workload,
-    recommend_workload,
-    workload_allocation,
-)
+from repro import obs
+from repro.core.predict import predict_workload, recommend_workload
 from repro.machine import amd_numa, intel_numa, intel_uma
 from repro.machine.topology import Machine
 from repro.obs import names
-from repro.perf.keys import flow_key
-from repro.resilience.faultinject import solver_fault_armed
-from repro.runtime.calibration import memoized_profile
-from repro.runtime.flow import FLOW_SITE
 from repro.util.validation import ValidationError
 
 #: Service-facing machine registry: short, URL-safe keys (the same keys
@@ -95,32 +81,14 @@ def _optional_int(body: dict, key: str):
     return value
 
 
-def _built_machine(key: str) -> Machine:
-    """The shared preset for ``key`` if a request has built it already."""
-    machine = _machines.get(key)
-    if machine is None:
-        raise ValidationError(f"machine {key!r} is not built yet")
-    return machine
-
-
-def _cell_identity(body: dict, lookup=None) -> tuple[Machine, str, str]:
+def _cell_identity(body: dict) -> tuple[Machine, str, str]:
     if not isinstance(body, dict):
         raise ValidationError(
             f"request body must be a JSON object, got {type(body).__name__}")
-    machine = (lookup or get_machine)(
-        _require(body, "machine", str, "a string"))
+    machine = get_machine(_require(body, "machine", str, "a string"))
     program = _require(body, "program", str, "a string")
     size = _require(body, "size", str, "a string")
     return machine, program, size
-
-
-def _core_counts(body: dict):
-    core_counts = body.get("core_counts")
-    if core_counts is not None and not isinstance(core_counts, list):
-        raise ValidationError(
-            f"field 'core_counts' must be a list of integers, "
-            f"got {core_counts!r}")
-    return core_counts
 
 
 def _instrumented(counter_name: str, handler, body) -> tuple[int, dict]:
@@ -160,7 +128,11 @@ def _predict_body(body: dict) -> dict:
 
 def _recommend_body(body: dict) -> dict:
     machine, program, size = _cell_identity(body)
-    core_counts = _core_counts(body)
+    core_counts = body.get("core_counts")
+    if core_counts is not None and not isinstance(core_counts, list):
+        raise ValidationError(
+            f"field 'core_counts' must be a list of integers, "
+            f"got {core_counts!r}")
     rec = recommend_workload(
         program, size, machine, core_counts=core_counts,
         n_threads=_optional_int(body, "n_threads"))
@@ -181,55 +153,21 @@ def handle_recommend(body) -> tuple[int, dict]:
     return _instrumented(names.SERVE_RECOMMENDATIONS, _recommend_body, body)
 
 
-def _memoized(allocations, body) -> bool:
-    """Whether every flow cell the handler would solve for ``body`` is cached.
 
-    ``allocations(machine, body)`` names the allocations the handler
-    solves.  A pure look: no counter, timer, gauge, span or LRU recency
-    moves.  Anything that might need work answers False — caches off, a
-    flow fault armed (the solver then bypasses the cache), the preset
-    not built, the profile not memoized, an invalid body (the handler
-    then returns its 400).
+def exact_answer(payload: dict) -> bool:
+    """Whether every prediction in a 200 ``payload`` came from the exact rung.
+
+    The ``/predict`` answer's own ``solver_stage``, or every ``/recommend``
+    candidate's: only such answers are a pure function of the request.
     """
-    if not perf.caches_enabled() or solver_fault_armed(FLOW_SITE):
-        return False
-    try:
-        machine, program, size = _cell_identity(body, _built_machine)
-        profile = memoized_profile(program, size, machine)
-        if profile is None:
-            return False
-        cells = flow_cells(profile, machine, allocations(machine, body))
-    except ValidationError:
-        return False
-    return all(flow_key(*cell) in perf.flow_cache for cell in cells)
-
-
-def _predict_allocations(machine: Machine, body: dict) -> list:
-    return [workload_allocation(
-        machine, _require(body, "n_active", int, "an integer"),
-        _optional_int(body, "n_threads"))]
-
-
-def _recommend_allocations(machine: Machine, body: dict) -> list:
-    return candidate_allocations(machine, _core_counts(body),
-                                 _optional_int(body, "n_threads"))
-
-
-def predict_memoized(body) -> bool:
-    """Whether :func:`handle_predict` can answer ``body`` from the caches."""
-    return _memoized(_predict_allocations, body)
-
-
-def recommend_memoized(body) -> bool:
-    """Whether :func:`handle_recommend` can answer ``body`` from the caches."""
-    return _memoized(_recommend_allocations, body)
+    return all(p["solver_stage"] == "exact"
+               for p in payload.get("candidates", (payload,)))
 
 
 __all__ = [
     "MACHINE_PRESETS",
+    "exact_answer",
     "get_machine",
     "handle_predict",
     "handle_recommend",
-    "predict_memoized",
-    "recommend_memoized",
 ]

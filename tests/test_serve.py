@@ -9,11 +9,21 @@ real ephemeral-port server.
 """
 
 import asyncio
-import dataclasses
 import json
+import logging
+import os
+import pathlib
+import re
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
+import repro.serve.http as http_mod
 from repro import obs, perf
 from repro.core.predict import predict_workload
 from repro.obs import names as _names
@@ -276,8 +286,6 @@ class TestHTTPEndpoints:
             "value"] == 1
 
     def test_uptime_survives_a_wall_clock_step(self, monkeypatch):
-        import time
-
         async def scenario(server):
             real = time.time
             monkeypatch.setattr(time, "time", lambda: real() - 3600.0)
@@ -395,6 +403,88 @@ class TestHTTPEndpoints:
             lambda server: http_request(server.host, server.port, "POST",
                                         "/predict", PREDICT_BODY))
         assert (status, served) == (direct_status, direct)
+
+
+class TestFraming:
+    """Ambiguous framing gets one response and one record, then a close."""
+
+    BODY = json.dumps(PREDICT_BODY).encode()
+
+    def refused(self, head: bytes, body: bytes) -> tuple[int, str]:
+        stats = ServiceTelemetry()
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            try:
+                writer.write(b"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                             + head + b"\r\n" + body)
+                await writer.drain()
+                status, headers, raw = await asyncio.wait_for(
+                    _read_response(reader), timeout=10)
+                rest = await TestReadTimeouts.read_until_closed(reader)
+                return status, headers, json.loads(raw), rest
+            finally:
+                await close(writer)
+
+        status, headers, payload, rest = run_with_server(scenario,
+                                                         stats=stats)
+        assert headers["connection"] == "close"
+        assert rest == b""                 # no second response
+        assert [e["status"] for e in stats.request_log.recent()] == [status]
+        return status, payload["error"]
+
+    def test_transfer_encoding_is_501(self):
+        chunked = (f"{len(self.BODY):x}\r\n".encode() + self.BODY
+                   + b"\r\n0\r\n\r\n")
+        status, error = self.refused(b"Transfer-Encoding: chunked\r\n",
+                                     chunked)
+        assert status == 501
+        assert "Transfer-Encoding" in error
+
+    def test_repeated_content_length_is_400(self):
+        n = len(self.BODY)
+        status, error = self.refused(
+            f"Content-Length: 5\r\nContent-Length: {n}\r\n".encode(),
+            self.BODY)
+        assert status == 400
+        assert "Content-Length" in error
+
+    def test_a_content_length_past_int_parsing_is_413(self):
+        # int() refuses a str of over 4,300 digits: the request must
+        # still get its one answer, not a dead connection.
+        status, _ = self.refused(b"Content-Length: " + b"9" * 5000
+                                 + b"\r\n", self.BODY)
+        assert status == 413
+
+    def test_leading_zeros_are_still_digits(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            try:
+                writer.write(b"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                             b"Content-Length: " + b"0" * 5000
+                             + str(len(self.BODY)).encode()
+                             + b"\r\nConnection: close\r\n\r\n"
+                             + self.BODY)
+                await writer.drain()
+                return await asyncio.wait_for(_read_response(reader),
+                                              timeout=10)
+            finally:
+                await close(writer)
+
+        status, _, raw = run_with_server(scenario)
+        assert status == 200
+        assert json.loads(raw) == handle_predict(dict(PREDICT_BODY))[1]
+
+    @pytest.mark.parametrize("form", ["{t}_{u}", "+{t}{u}", "{t}{u}\xa0"])
+    def test_content_length_must_be_ascii_digits(self, form):
+        n = len(self.BODY)
+        value = form.format(t=n // 10, u=n % 10)
+        status, error = self.refused(
+            f"Content-Length: {value}\r\n".encode("latin-1"), self.BODY)
+        assert status == 400
+        assert "Content-Length" in error
 
 
 class FakeClock:
@@ -727,3 +817,99 @@ class TestReadTimeouts:
         snap = obs.session().metrics.snapshot()
         assert _names.SERVE_ERRORS not in snap
         assert snap.get(_names.SERVE_REQUESTS, {}).get("value", 0) == 0
+
+
+class TestStop:
+    """``stop()`` closes idle connections and drains in-flight ones."""
+
+    @staticmethod
+    async def send_predict(server, body=PREDICT_BODY):
+        reader, writer = await asyncio.open_connection(server.host,
+                                                       server.port)
+        raw = json.dumps(body).encode()
+        writer.write((f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                      f"Content-Length: {len(raw)}\r\n\r\n").encode() + raw)
+        await writer.drain()
+        return reader, writer
+
+    def test_idle_keepalive_client_does_not_hold_stop(self, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+
+        async def main():
+            server = await PredictionServer(port=0, workers=2,
+                                            read_timeout_s=30).start()
+            reader, writer = await self.send_predict(server)
+            try:
+                status, headers, _ = await asyncio.wait_for(
+                    _read_response(reader), timeout=10)
+                await asyncio.wait_for(server.stop(), 2)
+                rest = await asyncio.wait_for(reader.read(), 2)
+                return status, headers, rest
+            finally:
+                await close(writer)
+
+        status, headers, rest = asyncio.run(main())
+        assert status == 200 and headers["connection"] == "keep-alive"
+        assert rest == b""                     # EOF, not a deadline abort
+        assert not [r for r in caplog.records
+                    if "Exception in callback" in r.getMessage()]
+
+    def test_in_flight_answer_is_written_before_stop_returns(
+            self, monkeypatch):
+        started = threading.Event()
+
+        def slow_predict(body):
+            started.set()
+            time.sleep(0.3)
+            return handle_predict(body)
+
+        monkeypatch.setattr(http_mod, "handle_predict", slow_predict)
+
+        async def main():
+            server = await PredictionServer(port=0, workers=2).start()
+            reader, writer = await self.send_predict(server)
+            try:
+                assert await asyncio.to_thread(started.wait, 10)
+                await asyncio.wait_for(server.stop(), 5)
+                # stop() returned, so the answer is already on the wire.
+                status, headers, raw = await asyncio.wait_for(
+                    _read_response(reader), timeout=1)
+                return status, headers, raw, await reader.read()
+            finally:
+                await close(writer)
+
+        status, headers, raw, rest = asyncio.run(main())
+        assert status == 200 and headers["connection"] == "close"
+        assert json.loads(raw) == handle_predict(dict(PREDICT_BODY))[1]
+        assert rest == b""
+
+    def test_sigint_drains_the_cli_server(self):
+        # `repro serve` stops through stop(): an idle keep-alive client
+        # sees EOF and asyncio logs no cancelled connection task.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            port = int(re.search(r":(\d+)$", proc.stdout.readline().strip())
+                       .group(1))
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                raw = json.dumps(PREDICT_BODY).encode()
+                sock.sendall((f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                              f"Content-Length: {len(raw)}\r\n\r\n"
+                              ).encode() + raw)
+                data = b""
+                while not data.endswith(b"}"):
+                    data += sock.recv(65536)
+                assert data.startswith(b"HTTP/1.1 200")
+                proc.send_signal(signal.SIGINT)
+                assert sock.recv(65536) == b""     # EOF while idle
+            out, err = proc.communicate(timeout=20)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0
+        assert "repro serve: stopped" in out
+        assert "Exception in callback" not in err and "Traceback" not in err

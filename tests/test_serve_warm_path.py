@@ -1,13 +1,18 @@
-"""Tests of the warm request path: memoized profiles and loop-side answers.
+"""Tests of the warm request path: the response memo and the profile memo.
 
-A request whose every flow cell is already cached is answered on the
-event loop, with no thread hop and no profile rebuild; everything else
-still goes to the worker pool.  These tests pin the routing, that the
-cache look moves no instrument, that both paths produce byte-identical
-bodies, and that the profile memo stays coherent under thread churn.
+A ``/predict`` or ``/recommend`` body whose exact answer is already in
+``perf.response_cache`` is answered on the event loop with the stored
+bytes, before JSON decoding; every other body goes to the worker pool.
+These tests pin that routing, what fills the memo and what never does,
+the counters and the span a memo hit leaves, that memo and pool answers
+are byte-identical, and that the profile memo stays coherent under
+thread churn.
 """
 
 import asyncio
+import copy
+import functools
+import hashlib
 import itertools
 import json
 import sys
@@ -16,25 +21,25 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.runtime.flow as flow_mod
 import repro.serve.http as http_mod
+import repro.serve.service as service_mod
 from repro import obs, perf
 from repro.machine import intel_numa
 from repro.obs import names as _names
-from repro.resilience import faultinject
-from repro.runtime.calibration import calibrate_profile, memoized_profile
+from repro.perf.keys import cached_fingerprint
+from repro.resilience import ConvergencePolicy, faultinject
+from repro.runtime.calibration import calibrate_profile
 from repro.runtime.flow import FLOW_SITE
 from repro.serve import PredictionServer, get_machine
-from repro.serve.service import (
-    handle_predict,
-    handle_recommend,
-    predict_memoized,
-    recommend_memoized,
-)
+from repro.serve.service import exact_answer, handle_predict, handle_recommend
 
 PREDICT_BODY = {"machine": "intel_uma", "program": "CG", "size": "C",
                 "n_active": 4}
 RECOMMEND_BODY = {"machine": "intel_uma", "program": "CG", "size": "C",
                   "core_counts": [1, 2, 4, 8]}
+REQUESTS = [("/predict", PREDICT_BODY), ("/recommend", RECOMMEND_BODY)]
+HANDLERS = {"/predict": handle_predict, "/recommend": handle_recommend}
 
 
 @pytest.fixture(autouse=True)
@@ -64,44 +69,67 @@ def pool_submits(monkeypatch):
     return RecordingPool.submits
 
 
-async def _exchange(server, requests):
-    """Send ``(path, body)`` requests on one keep-alive connection.
+def pure_answer(path: str, body) -> bytes:
+    """The bytes the handler's own answer to ``body`` is written as."""
+    return json.dumps(HANDLERS[path](copy.deepcopy(body))[1],
+                      sort_keys=True).encode()
 
-    Returns each response's ``(status, raw body bytes)``.
+
+async def _post(conn, path: str, body) -> tuple[int, bytes]:
+    """One POST on the keep-alive ``conn``: ``(status, raw body bytes)``.
+
+    ``body`` is sent as is when it is ``bytes``, else JSON-encoded.
     """
-    reader, writer = await asyncio.open_connection(server.host, server.port)
-    out = []
+    reader, writer = conn
+    payload = body if isinstance(body, bytes) else json.dumps(body).encode()
+    writer.write((f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+                  f"Content-Length: {len(payload)}\r\n\r\n").encode()
+                 + payload)
+    await writer.drain()
+    status = int((await reader.readline()).split(b" ", 2)[1])
+    length = 0
+    while (line := await reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    return status, await reader.readexactly(length)
+
+
+async def _connected(server, scenario):
+    conn = await asyncio.open_connection(server.host, server.port)
     try:
-        for path, body in requests:
-            payload = json.dumps(body).encode()
-            writer.write((f"POST {path} HTTP/1.1\r\nHost: t\r\n"
-                          f"Content-Length: {len(payload)}\r\n\r\n"
-                          ).encode() + payload)
-            await writer.drain()
-            status = int((await reader.readline()).split(b" ", 2)[1])
-            length = 0
-            while (line := await reader.readline()) not in (b"\r\n", b""):
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    length = int(value)
-            out.append((status, await reader.readexactly(length)))
+        return await scenario(functools.partial(_post, conn))
     finally:
-        writer.close()
-        await writer.wait_closed()
-    return out
+        conn[1].close()
+        await conn[1].wait_closed()
 
 
-def serve(requests):
+def run(scenario, workers: int = 2):
+    """``await scenario(server, post)`` against a fresh server.
+
+    ``post(path, body)`` sends one request on a single keep-alive
+    connection and returns its ``(status, raw body bytes)``.
+    """
     async def _main():
-        async with PredictionServer(port=0, workers=2) as server:
-            return await _exchange(server, requests)
+        async with PredictionServer(port=0, workers=workers) as server:
+            return await _connected(
+                server, functools.partial(scenario, server))
 
     return asyncio.run(_main())
 
 
-def warm_up():
-    assert handle_predict(dict(PREDICT_BODY))[0] == 200
-    assert handle_recommend(dict(RECOMMEND_BODY))[0] == 200
+def serve(requests):
+    """Send each ``(path, body)`` in turn on one connection."""
+    async def scenario(server, post):
+        return [await post(path, body) for path, body in requests]
+
+    return run(scenario)
+
+
+def profile_memo(program: str, size: str, machine):
+    """What ``perf.profile_cache`` holds for the triple, or ``perf.MISS``."""
+    return perf.profile_cache.get((program, size,
+                                   cached_fingerprint(machine)))
 
 
 class TestProfileMemo:
@@ -109,7 +137,7 @@ class TestProfileMemo:
         first = calibrate_profile("CG", "C", intel_numa())
         second = calibrate_profile("CG", "C", intel_numa())
         assert first is second
-        assert memoized_profile("CG", "C", intel_numa()) is first
+        assert profile_memo("CG", "C", intel_numa()) is first
 
     def test_every_call_counts_a_lookup(self):
         tel = obs.enable(fresh=True)
@@ -129,7 +157,7 @@ class TestProfileMemo:
         assert len(perf.profile_cache) == 1
         perf.clear_caches()
         assert len(perf.profile_cache) == 0
-        assert memoized_profile("CG", "C", machine) is None
+        assert profile_memo("CG", "C", machine) is perf.MISS
         again = calibrate_profile("CG", "C", machine)
         assert again is not first and again == first
 
@@ -139,55 +167,64 @@ class TestProfileMemo:
         first = calibrate_profile("CG", "C", machine)
         second = calibrate_profile("CG", "C", machine)
         assert first is not second and first == second
-        assert memoized_profile("CG", "C", machine) is None
+        assert profile_memo("CG", "C", machine) is perf.MISS
         assert perf.cache_stats()["profile"]["enabled"] is False
 
 
 class TestLoopPath:
     def test_warm_requests_never_reach_the_executor(self, pool_submits):
-        warm_up()
-        answers = serve([("/predict", PREDICT_BODY),
-                         ("/recommend", RECOMMEND_BODY)])
-        assert [status for status, _ in answers] == [200, 200]
-        assert pool_submits == []
+        cold = serve(REQUESTS)                 # misses: solved on the pool
+        assert len(pool_submits) == 2
+        warm = serve(REQUESTS)                 # repeats: the memo answers
+        assert len(pool_submits) == 2
+        assert [status for status, _ in warm] == [200, 200]
+        assert warm == cold
 
-    def test_loop_and_pool_bodies_are_byte_identical(self, pool_submits,
-                                                     monkeypatch):
-        requests = [("/predict", PREDICT_BODY),
-                    ("/recommend", RECOMMEND_BODY)]
-        cold = serve(requests)                 # solved on the pool
+    def test_loop_and_pool_bodies_are_byte_identical(self, pool_submits):
+        cold = serve(REQUESTS)                 # solved on the pool
+        warm = serve(REQUESTS)                 # answered from the memo
         assert len(pool_submits) == 2
-        warm = serve(requests)                 # answered on the loop
-        assert len(pool_submits) == 2
-        monkeypatch.setattr(http_mod, "predict_memoized", lambda body: False)
-        monkeypatch.setattr(http_mod, "recommend_memoized",
-                            lambda body: False)
-        pooled = serve(requests)               # warm, forced to the pool
+        perf.response_cache.clear()
+        pooled = serve(REQUESTS)               # flow cache warm, memo cold
         assert len(pool_submits) == 4
         assert cold == warm == pooled
+        assert [raw for _, raw in warm] \
+            == [pure_answer(path, body) for path, body in REQUESTS]
 
     def test_cold_bodies_go_to_the_pool(self, pool_submits):
-        warm_up()
+        serve(REQUESTS)
         cold = {**PREDICT_BODY, "n_active": 3}
         answers = serve([("/predict", cold), ("/predict", cold)])
         assert [status for status, _ in answers] == [200, 200]
-        assert len(pool_submits) == 1          # the second one was warm
+        assert len(pool_submits) == 3          # the repeat was a memo hit
+        # The key is the bytes, not the meaning: a re-spaced body is new.
+        spaced = json.dumps(PREDICT_BODY, indent=1).encode()
+        assert serve([("/predict", spaced)]) \
+            == [(200, pure_answer("/predict", PREDICT_BODY))]
+        assert len(pool_submits) == 4
 
     def test_armed_flow_fault_goes_to_the_pool(self, pool_submits):
-        warm_up()
+        serve(REQUESTS)                        # fills the memo
+        stats = perf.cache_stats()["response"]
+        cold = {**PREDICT_BODY, "n_active": 3}
         with faultinject.inject(nonconverge={FLOW_SITE: 1}):
-            assert not predict_memoized(dict(PREDICT_BODY))
-            answers = serve([("/predict", PREDICT_BODY)])
-        assert answers[0][0] == 200
-        assert len(pool_submits) == 1
+            answers = serve([("/predict", PREDICT_BODY),
+                             ("/predict", cold), ("/predict", cold)])
+        assert [status for status, _ in answers] == [200, 200, 200]
+        assert len(pool_submits) == 5
+        # Neither read (no hit or miss counted) nor filled.
+        assert perf.cache_stats()["response"] == stats
 
     def test_disabled_caches_go_to_the_pool(self, pool_submits):
-        warm_up()
+        serve(REQUESTS)
         perf.set_enabled(False)
-        answers = serve([("/predict", PREDICT_BODY),
-                         ("/recommend", RECOMMEND_BODY)])
-        assert [status for status, _ in answers] == [200, 200]
-        assert len(pool_submits) == 2
+        stats = perf.cache_stats()["response"]
+        assert stats["size"] == 0
+        answers = serve(REQUESTS + REQUESTS)
+        assert len(pool_submits) == 6
+        assert perf.cache_stats()["response"] == stats
+        assert answers == [(200, pure_answer(path, body))
+                           for path, body in REQUESTS + REQUESTS]
 
     @pytest.mark.parametrize("body", [
         {**PREDICT_BODY, "machine": "cray_1"},
@@ -199,90 +236,201 @@ class TestLoopPath:
     ])
     def test_invalid_bodies_go_to_the_pool_for_their_400(self, body,
                                                          pool_submits):
-        warm_up()
-        assert not predict_memoized(body)
-        answers = serve([("/predict", body)])
-        assert answers[0][0] == 400
-        assert len(pool_submits) == 1
+        hits = perf.response_cache.hits
+        answers = serve([("/predict", body), ("/predict", body)])
+        assert [status for status, _ in answers] == [400, 400]
+        assert answers[0] == answers[1]
+        assert answers[0][1] == pure_answer("/predict", body)
+        assert len(pool_submits) == 2          # the repeat is no hit
+        assert len(perf.response_cache) == 0
+        assert perf.response_cache.hits == hits
 
-    def test_unbuilt_preset_and_unmemoized_profile_need_a_solve(self):
-        warm_up()
-        assert predict_memoized(dict(PREDICT_BODY))
-        assert not predict_memoized({**PREDICT_BODY, "size": "W"})
-        assert not recommend_memoized({**RECOMMEND_BODY,
-                                       "core_counts": [1, 3]})
-        import repro.serve.service as service_mod
+    def test_undecodable_bodies_are_400s_on_the_loop(self, pool_submits):
+        bodies = [b"", b"{not json", b"\xff\xfe", b"[" * 100_000]
+        answers = serve([("/predict", raw) for raw in bodies * 2])
+        assert [status for status, _ in answers] == [400] * 8
+        assert pool_submits == []
+        assert len(perf.response_cache) == 0
 
+    def test_unbuilt_preset_and_unmemoized_profile_need_a_solve(
+            self, pool_submits):
+        serve([("/predict", PREDICT_BODY)])
+        serve([("/predict", {**PREDICT_BODY, "size": "W"}),
+               ("/predict", {**PREDICT_BODY, "machine": "amd_numa"})])
+        assert len(pool_submits) == 3
+        # A hit needs neither: it builds no preset, calibrates no profile.
         built = dict(service_mod._machines)
         service_mod._machines.clear()
+        perf.profile_cache.clear()
         try:
-            assert not predict_memoized(dict(PREDICT_BODY))
+            answers = serve([("/predict", PREDICT_BODY)])
+            assert service_mod._machines == {}
+            assert len(perf.profile_cache) == 0
         finally:
             service_mod._machines.update(built)
+        assert len(pool_submits) == 3
+        assert answers == [(200, pure_answer("/predict", PREDICT_BODY))]
 
-    def test_a_true_look_means_the_handler_solves_nothing(self):
-        # The look and the handler take their cells from one helper, so
-        # a look that answers True must be a 200 with no flow-cache miss.
-        warm_up()
-        handle_recommend({**RECOMMEND_BODY, "core_counts": None})
-        true_looks = {handle_predict: 0, handle_recommend: 0}
-        for machine, program, size, n_active, n_threads, core_counts in \
-                itertools.product(["intel_uma", "intel_numa", "cray_1"],
-                                  ["CG", "LINPACK"], ["C", "W"],
-                                  [-1, 0, 1, 4, 8, 9], [None, 0, 4, 8],
-                                  [None, [], [1, 8], [0], [4, 4]]):
-            body = {"machine": machine, "program": program, "size": size,
-                    "n_active": n_active, "n_threads": n_threads,
-                    "core_counts": core_counts}
-            for memoized, handler in ((predict_memoized, handle_predict),
-                                      (recommend_memoized, handle_recommend)):
-                if memoized(dict(body)):
-                    true_looks[handler] += 1
-                    misses = perf.flow_cache.misses
-                    assert handler(dict(body))[0] == 200
-                    assert perf.flow_cache.misses == misses
-        assert all(true_looks.values())
+    def test_a_true_look_means_the_handler_solves_nothing(self,
+                                                          pool_submits):
+        # Over a grid of valid and invalid bodies, the repeat of every
+        # 200 is a memo hit that touches no flow cache; nothing else is.
+        bodies = [
+            {"machine": machine, "program": program, "size": "C",
+             "n_active": n_active, "n_threads": n_threads,
+             "core_counts": core_counts}
+            for machine, program, n_active, n_threads, core_counts in
+            itertools.product(["intel_uma", "cray_1"], ["CG", "LINPACK"],
+                              [0, 4, 9], [None, 2, 8],
+                              [None, [1, 8], [0]])]
 
-    def test_cache_look_moves_no_instrument(self):
+        async def scenario(server, post):
+            answers, hits = [], {"/predict": 0, "/recommend": 0}
+            for body, path in itertools.product(bodies, HANDLERS):
+                first = await post(path, body)
+                submits = len(pool_submits)
+                flow = perf.cache_stats()["flow"]
+                assert await post(path, body) == first
+                hit = len(pool_submits) == submits
+                assert hit == (first[0] == 200)
+                if hit:
+                    hits[path] += 1
+                    assert perf.cache_stats()["flow"] == flow
+                answers.append((path, body, first[1]))
+            return answers, hits
+
+        answers, hits = run(scenario)
+        assert all(hits.values())
+        for path, body, raw in answers:
+            assert raw == pure_answer(path, body)
+
+    def test_a_hit_moves_only_its_own_counters(self, pool_submits,
+                                               monkeypatch):
         tel = obs.enable(fresh=True)
-        warm_up()
-        get_machine("amd_numa")                # built, nothing cached
-        bodies = [dict(PREDICT_BODY), {**PREDICT_BODY, "n_active": 3},
-                  {**PREDICT_BODY, "machine": "amd_numa"},
-                  {**PREDICT_BODY, "program": "LINPACK"}]
-        snapshot = json.dumps(tel.metrics.snapshot(), sort_keys=True)
-        roots = list(tel.tracer.roots)
-        stats = perf.cache_stats()
-        order = {c.name: list(c._data) for c in
-                 (perf.flow_cache, perf.mva_cache, perf.profile_cache)}
-        looks = [predict_memoized(b) for b in bodies] \
-            + [recommend_memoized(dict(RECOMMEND_BODY))]
-        assert looks == [True, False, False, False, True]
-        assert json.dumps(tel.metrics.snapshot(), sort_keys=True) \
-            == snapshot
-        assert perf.cache_stats() == stats
-        assert {c.name: list(c._data) for c in
-                (perf.flow_cache, perf.mva_cache, perf.profile_cache)} \
-            == order
-        assert tel.tracer.roots == roots
+        serve(REQUESTS)                        # two misses fill the memo
+        response = {event: _names.perf_cache_metric("response", event)
+                    for event in ("hits", "misses")}
+        snap = tel.metrics.snapshot()
+        assert snap[response["misses"]]["value"] == 2
+        assert response["hits"] not in snap
+        calls = []
+        for name in ("handle_predict", "handle_recommend"):
+            handler = getattr(http_mod, name)
+            monkeypatch.setattr(http_mod, name, lambda body, h=handler:
+                                calls.append(body) or h(body))
+        for path, counter in (("/predict", _names.SERVE_PREDICTIONS),
+                              ("/recommend", _names.SERVE_RECOMMENDATIONS)):
+            before = tel.metrics.snapshot()
+            assert serve([(path, dict(REQUESTS)[path])])[0][0] == 200
+            after = tel.metrics.snapshot()
+            moved = {name for name in before.keys() | after.keys()
+                     if before.get(name) != after.get(name)}
+            assert moved == {
+                response["hits"], counter, _names.SERVE_REQUESTS,
+                _names.SERVE_REQUESTS + "{status_class=2xx}",
+                _names.SERVE_REQUEST_SECONDS}
+            for name in moved - {_names.SERVE_REQUEST_SECONDS}:
+                assert after[name]["value"] \
+                    == before.get(name, {"value": 0})["value"] + 1
+            assert after[_names.SERVE_REQUEST_SECONDS]["count"] \
+                == before[_names.SERVE_REQUEST_SECONDS]["count"] + 1
+        assert calls == [] and len(pool_submits) == 2
 
     def test_loop_answers_keep_the_request_trace(self, pool_submits):
         tel = obs.enable(fresh=True)
-        warm_up()
-        before = tel.metrics.snapshot()[_names.SERVE_PREDICTIONS]["value"]
 
-        async def scenario():
-            async with PredictionServer(port=0, workers=2) as server:
-                await _exchange(server, [("/predict", PREDICT_BODY)])
-                return server.stats.debug_payload(limit=1)
+        async def scenario(server, post):
+            await post("/predict", PREDICT_BODY)   # a miss, on the pool
+            await post("/predict", PREDICT_BODY)   # a hit, on the loop
+            return server.stats.debug_payload(limit=2)
 
-        payload = asyncio.run(scenario())
-        assert pool_submits == []
-        trace = payload["recent"][0]["trace"]
-        assert trace["name"] == "serve.request"
-        assert [c["name"] for c in trace["children"]] == ["flow.solve"]
-        snap = tel.metrics.snapshot()
-        assert snap[_names.SERVE_PREDICTIONS]["value"] == before + 1
+        payload = run(scenario)
+        assert len(pool_submits) == 1
+        hit, miss = payload["recent"]
+        assert miss["trace"]["name"] == hit["trace"]["name"] \
+            == "serve.request"
+        assert [c["name"] for c in miss["trace"]["children"]] \
+            == ["flow.solve"]
+        assert hit["trace"]["children"] == []
+        assert hit["trace"]["labels"] == {"request_id": hit["request_id"],
+                                          "path": "/predict"}
+        assert tel.tracer.roots == []          # both trees were detached
+
+
+class TestResponseMemo:
+    def test_clear_caches_and_disabling_empty_the_memo(self):
+        serve(REQUESTS)
+        assert len(perf.response_cache) == 2
+        perf.clear_caches()
+        assert len(perf.response_cache) == 0
+        serve(REQUESTS)
+        assert len(perf.response_cache) == 2
+        perf.set_enabled(False)
+        assert len(perf.response_cache) == 0
+        assert perf.cache_stats()["response"]["enabled"] is False
+
+    def test_a_padded_body_is_stored_under_its_digest(self, pool_submits):
+        raw = json.dumps(PREDICT_BODY).encode()
+        padded = raw + b" " * (http_mod.MAX_BODY_BYTES - len(raw))
+        answers = serve([("/predict", padded), ("/predict", padded)])
+        assert answers == [(200, pure_answer("/predict", PREDICT_BODY))] * 2
+        assert len(pool_submits) == 1
+        [(path, digest)] = list(perf.response_cache._data)
+        assert path == "/predict" and len(digest) == 32
+        assert digest == hashlib.sha256(padded).digest()
+
+    def test_exact_answer_reads_every_solver_stage(self):
+        predict = handle_predict(dict(PREDICT_BODY))[1]
+        recommend = handle_recommend(dict(RECOMMEND_BODY))[1]
+        assert exact_answer(predict) and exact_answer(recommend)
+        assert not exact_answer({**predict, "solver_stage": "schweitzer"})
+        for i in range(len(recommend["candidates"])):
+            mixed = copy.deepcopy(recommend)
+            mixed["candidates"][i]["solver_stage"] = "bounds"
+            assert not exact_answer(mixed)
+
+    def test_a_degraded_answer_does_not_fill_the_memo(self, pool_submits,
+                                                      monkeypatch):
+        # No fault is armed: a one-iteration budget degrades the solve.
+        monkeypatch.setattr(flow_mod, "DEFAULT_POLICY",
+                            ConvergencePolicy(max_iterations=1))
+        answers = serve([("/predict", PREDICT_BODY)] * 2)
+        assert [status for status, _ in answers] == [200, 200]
+        assert {json.loads(raw)["solver_stage"] for _, raw in answers} \
+            & {"exact"} == set()
+        assert len(pool_submits) == 2
+        assert len(perf.response_cache) == 0
+
+    def test_http_hammer_over_eight_connections_is_byte_identical(self):
+        requests = REQUESTS + [
+            ("/predict", {**PREDICT_BODY, "n_active": 8}),
+            ("/predict", {**PREDICT_BODY, "machine": "intel_numa",
+                          "n_active": 12})]
+        want = [(200, pure_answer(path, body)) for path, body in requests]
+        perf.clear_caches()                    # misses and hits race
+        hits = perf.response_cache.hits
+
+        async def client(server, k):
+            async def scenario(post):
+                return [await post(*requests[(k + i) % len(requests)])
+                        for i in range(40)]
+            return await _connected(server, scenario)
+
+        async def main():
+            async with PredictionServer(port=0, workers=4) as server:
+                return await asyncio.gather(*(client(server, k)
+                                              for k in range(8)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = asyncio.run(asyncio.wait_for(main(), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for k, answers in enumerate(results):
+            assert answers == [want[(k + i) % len(requests)]
+                               for i in range(40)]
+        assert perf.response_cache.hits > hits
 
 
 def test_threaded_hammer_is_bit_identical():
@@ -297,6 +445,7 @@ def test_threaded_hammer_is_bit_identical():
     want_recommend = json.dumps(handle_recommend(dict(RECOMMEND_BODY)),
                                 sort_keys=True)
     want_profiles = [calibrate_profile(*t) for t in triples]
+    flow_misses = perf.flow_cache.misses
     errors: list[str] = []
 
     def work():
@@ -304,8 +453,6 @@ def test_threaded_hammer_is_bit_identical():
             k = i % len(bodies)
             if calibrate_profile(*triples[k]) is not want_profiles[k]:
                 errors.append(f"profile {k} changed identity")
-            if not predict_memoized(dict(bodies[k])):
-                errors.append(f"body {k} lost its cached cells")
             got = json.dumps(handle_predict(dict(bodies[k])),
                              sort_keys=True)
             if got != want_predict[k]:
@@ -327,3 +474,4 @@ def test_threaded_hammer_is_bit_identical():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+    assert perf.flow_cache.misses == flow_misses   # no cached cell was lost
