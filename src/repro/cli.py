@@ -437,7 +437,9 @@ async def _announce_and_serve(server) -> None:
     print("  GET  /healthz         liveness + SLO burn-rate state")
     print("  GET  /events          structured-log ring")
     print("  GET  /debug/requests  recent/slowest requests with span trees")
-    print("  GET  /dashboard       script-free inline-SVG live dashboard")
+    # Flushed: a caller reading a pipe learns the port from the banner.
+    print("  GET  /dashboard       script-free inline-SVG live dashboard",
+          flush=True)
     try:
         # start() is already serving.  Wait to be cancelled (SIGINT) and
         # let stop() drain: on Python 3.12+ the cancellation path of

@@ -218,6 +218,8 @@ class PredictionServer:
             head = await self._read(reader.readuntil(b"\r\n\r\n"), writer)
         finally:
             self._idle.discard(writer)
+        if self._closing:  # stop() closed the socket under a buffered head
+            return False
         t0 = time.perf_counter()
         method = path = "?"
         headers: dict[str, str] = {}
@@ -327,6 +329,8 @@ class PredictionServer:
             trace = req_span.to_dict()
         if answer is MISS:
             answer = payload
+            # Checked again: a fault armed mid-solve can fail attempt 0, and
+            # the exact-rung retry at heavier damping differs in low bits.
             if status == 200 and memo and exact_answer(payload) \
                     and not solver_fault_armed(FLOW_SITE):
                 answer = json.dumps(payload, sort_keys=True).encode()

@@ -153,7 +153,6 @@ def handle_recommend(body) -> tuple[int, dict]:
     return _instrumented(names.SERVE_RECOMMENDATIONS, _recommend_body, body)
 
 
-
 def exact_answer(payload: dict) -> bool:
     """Whether every prediction in a 200 ``payload`` came from the exact rung.
 

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import pathlib
+import queue
 import re
 import signal
 import socket
@@ -883,6 +884,42 @@ class TestStop:
         assert json.loads(raw) == handle_predict(dict(PREDICT_BODY))[1]
         assert rest == b""
 
+    def test_a_head_buffered_before_stop_is_not_answered(self,
+                                                          monkeypatch):
+        # The head is in the reader's buffer when stop() closes the idle
+        # connection, but its task has not resumed: the request must be
+        # neither routed, answered nor recorded.
+        head_read, release = threading.Event(), asyncio.Event()
+        real_read = PredictionServer._read
+
+        async def held_read(server, read, writer):
+            data = await real_read(server, read, writer)
+            head_read.set()
+            await release.wait()
+            return data
+
+        monkeypatch.setattr(PredictionServer, "_read", held_read)
+        handled = []
+        monkeypatch.setattr(http_mod, "handle_predict", handled.append)
+
+        async def main():
+            server = await PredictionServer(port=0, workers=2).start()
+            reader, writer = await self.send_predict(server)
+            try:
+                assert await asyncio.to_thread(head_read.wait, 10)
+                stopping = asyncio.ensure_future(server.stop())
+                await asyncio.sleep(0)         # stop() closes idle sockets
+                release.set()
+                await asyncio.wait_for(stopping, 5)
+                return await asyncio.wait_for(reader.read(), 2), server
+            finally:
+                await close(writer)
+
+        rest, server = asyncio.run(main())
+        assert rest == b""
+        assert handled == []
+        assert server.stats.request_log.total == 0
+
     def test_sigint_drains_the_cli_server(self):
         # `repro serve` stops through stop(): an idle keep-alive client
         # sees EOF and asyncio logs no cancelled connection task.
@@ -892,7 +929,11 @@ class TestStop:
             env={**os.environ, "PYTHONPATH": str(src)},
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         try:
-            port = int(re.search(r":(\d+)$", proc.stdout.readline().strip())
+            # readline() has no deadline of its own: read in a thread.
+            lines = queue.Queue()
+            threading.Thread(target=lambda: lines.put(proc.stdout.readline()),
+                             daemon=True).start()
+            port = int(re.search(r":(\d+)$", lines.get(timeout=20).strip())
                        .group(1))
             with socket.create_connection(("127.0.0.1", port),
                                           timeout=10) as sock:
@@ -902,7 +943,9 @@ class TestStop:
                               ).encode() + raw)
                 data = b""
                 while not data.endswith(b"}"):
-                    data += sock.recv(65536)
+                    chunk = sock.recv(65536)
+                    assert chunk, f"EOF before a full answer: {data!r}"
+                    data += chunk
                 assert data.startswith(b"HTTP/1.1 200")
                 proc.send_signal(signal.SIGINT)
                 assert sock.recv(65536) == b""     # EOF while idle

@@ -401,6 +401,24 @@ class TestResponseMemo:
         assert len(pool_submits) == 2
         assert len(perf.response_cache) == 0
 
+    def test_a_fault_armed_during_the_solve_does_not_fill_the_memo(
+            self, monkeypatch):
+        # The failed first attempt is retried on the exact rung at heavier
+        # damping: the answer still reads "exact", but its bits differ.
+        def arming_predict(body):
+            faultinject.install(
+                faultinject.FaultPlan(nonconverge={FLOW_SITE: 1}))
+            return handle_predict(body)
+
+        monkeypatch.setattr(http_mod, "handle_predict", arming_predict)
+        try:
+            [(status, raw)] = serve([("/predict", PREDICT_BODY)])
+        finally:
+            faultinject.clear()
+        assert status == 200 and json.loads(raw)["solver_stage"] == "exact"
+        assert raw != pure_answer("/predict", PREDICT_BODY)
+        assert len(perf.response_cache) == 0
+
     def test_http_hammer_over_eight_connections_is_byte_identical(self):
         requests = REQUESTS + [
             ("/predict", {**PREDICT_BODY, "n_active": 8}),
