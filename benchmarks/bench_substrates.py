@@ -22,16 +22,47 @@ def test_exact_mva_48(benchmark):
     assert result.throughput > 0
 
 
-def test_flow_solver_amd_full(benchmark):
-    from repro.machine import CoreAllocation, amd_numa
+@pytest.mark.parametrize("preset, n", [
+    ("intel_uma", 4), ("intel_numa", 13), ("amd_numa", 30)])
+def test_flow_solver_cold_cell(benchmark, preset, n):
+    """One cold single-cell solve, shaped like a serve-cold ``/predict``.
+
+    The caches are cleared before every round, so each timed call
+    solves instead of copying a flow-cache hit.
+    """
+    from repro import perf
+    from repro.machine import CoreAllocation, presets
     from repro.runtime.calibration import calibrate_profile
     from repro.runtime.flow import solve_flow
 
-    machine = amd_numa()
+    machine = getattr(presets, preset)()
     profile = calibrate_profile("CG", "C", machine)
-    alloc = CoreAllocation.paper_policy(machine, 48)
-    result = benchmark(solve_flow, profile, machine, alloc)
+    alloc = CoreAllocation.paper_policy(machine, n)
+    result = benchmark.pedantic(solve_flow, args=(profile, machine, alloc),
+                                setup=perf.clear_caches, rounds=50,
+                                warmup_rounds=2)
     assert result.total_cycles > 0
+
+
+def test_flow_solver_pooled_grid(benchmark):
+    """One cold ``solve_flow_cells`` over a sweep-shaped grid of 320 cells.
+
+    CG, EP, SP and FT (class C) at every active-core count of the three
+    presets, pooled into one lock-step call.
+    """
+    from repro import perf
+    from repro.machine import CoreAllocation, amd_numa, intel_numa, intel_uma
+    from repro.runtime.calibration import calibrate_profile
+    from repro.runtime.flow import solve_flow_cells
+
+    cells = [(calibrate_profile(program, "C", machine), machine,
+              CoreAllocation.paper_policy(machine, n))
+             for machine in (intel_uma(), intel_numa(), amd_numa())
+             for program in ("CG", "EP", "SP", "FT")
+             for n in range(1, machine.n_cores + 1)]
+    results = benchmark.pedantic(solve_flow_cells, args=(cells,),
+                                 setup=perf.clear_caches, rounds=5)
+    assert len(results) == 320
 
 
 def test_measurement_sweep_intel_numa(benchmark):

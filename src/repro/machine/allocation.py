@@ -128,12 +128,17 @@ class CoreAllocation:
         the fraction of accesses that stay on the requesting core's own
         processor, given data spread uniformly over active processors.
         """
-        counts = [c for c in self.cores_per_processor() if c > 0]
         n = self.n_active
         # Each processor holds a share of data proportional to its active
         # cores; a core's request is local with the probability that the
-        # target page lives on its own processor.
-        return sum((c / n) ** 2 for c in counts)
+        # target page lives on its own processor.  Summed left to right,
+        # not with ``sum()``: Python 3.12 made it compensated, which would
+        # tie the flow solver's bits to the interpreter.
+        local = 0.0
+        for c in self.cores_per_processor():
+            if c > 0:
+                local += (c / n) ** 2
+        return local
 
     def mean_remote_hops(self) -> float:
         """Mean interconnect hops per request under uniform affinity.

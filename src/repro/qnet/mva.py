@@ -232,43 +232,70 @@ def _exact_recursion(demands: np.ndarray, is_queue: np.ndarray,
 
     Runs the Reiser–Lavenberg recursion for every chain (row) at once,
     with the SCV residual correction.  Chains may have different
-    populations: a chain's row freezes once ``k`` exceeds its population,
-    so each row ends up holding that chain's solution at its own N.
+    populations: rows are stably sorted by descending population, so
+    the rows still stepping at ``k`` are a prefix of the batch.  A row
+    leaves the prefix after step ``N`` holding its solution at its own
+    ``N``; the original row order is restored on return.
 
     Every operation is elementwise per row (the only reduction is the
-    row-local ``sum(axis=1)``), so a chain's solution is bit-identical
+    row-local sum over stations), so a chain's solution is bit-identical
     whether it is solved alone or inside any batch — the property the
     memoization layer relies on.
+
+    Zero total demand is checked once, at ``k = 1``, over every row:
+    with ``q >= 0``, ``0 <= u <= 1`` and ``scv >= 0`` each residence is
+    at least half its demand, so a later total cannot reach zero.
 
     Returns ``(x, residence, q, u)``: throughputs ``[C]`` and per-station
     arrays ``[C, S]``.
     """
+    pops = populations.tolist()
+    order = None
+    if any(a < b for a, b in zip(pops, pops[1:])):
+        order = np.argsort(-populations, kind="stable")
+        pops = sorted(pops, reverse=True)     # stable, like ``order``
+        demands, is_queue, scv = demands[order], is_queue[order], scv[order]
     qd = np.where(is_queue, demands, 0.0)
     dd = np.where(is_queue, 0.0, demands)
     scv_term = qd * (scv - 1.0) * 0.5
-    n_chains, _ = demands.shape
-    q = np.zeros_like(demands)
-    u = np.zeros_like(demands)
-    x = np.zeros(n_chains)
-    residence = demands.copy()
-    for k in range(1, int(populations.max()) + 1):
-        res_new = dd + qd * (1.0 + q) + u * scv_term
-        total = res_new.sum(axis=1)
-        if np.any(total <= 0.0):
+    # Rows ``[:m]`` are stepping.  Rows ``[hi:]`` have population 0 and
+    # keep their initial values; they take part in step 1's check only.
+    m = len(pops)
+    hi = m
+    while hi and pops[hi - 1] < 1:
+        hi -= 1
+    # ``x`` is kept as a column so it scales each row without an index.
+    x = np.zeros((m, 1))
+    res = demands
+    q = u = np.zeros(demands.shape)
+    done = [(x[hi:], demands[hi:], q[hi:], u[hi:])] if hi < m else []
+    for k in range(1, (pops[0] if pops else 0) + 1):
+        if pops[m - 1] < k and k > 1:
+            lo = m
+            while pops[lo - 1] < k:
+                lo -= 1
+            done.append((x[lo:hi], res[lo:hi], q[lo:hi], u[lo:hi]))
+            m = hi = lo
+            dd, qd, scv_term, q, u = (
+                dd[:m], qd[:m], scv_term[:m], q[:m], u[:m])
+        res = dd + qd * (1.0 + q) + u * scv_term
+        total = np.add.reduce(res, axis=1, keepdims=True)
+        if k == 1 and (total <= 0.0).any():
             raise ValidationError("network has zero total demand")
-        x_new = k / total
-        q_new = x_new[:, None] * res_new
-        u_new = np.minimum(x_new[:, None] * qd, 1.0)
-        live = populations >= k
-        if live.all():
-            residence, x, q, u = res_new, x_new, q_new, u_new
-        else:
-            live_col = live[:, None]
-            residence = np.where(live_col, res_new, residence)
-            x = np.where(live, x_new, x)
-            q = np.where(live_col, q_new, q)
-            u = np.where(live_col, u_new, u)
-    return x, residence, q, u
+        x = k / total
+        q = x * res
+        u = np.minimum(x * qd, 1.0)
+    out = [x[:hi], res[:hi], q[:hi], u[:hi]]
+    if done:
+        # Finished blocks sit below the prefix, last to finish first.
+        done.reverse()
+        out = [np.concatenate([o] + [b[i] for b in done])
+               for i, o in enumerate(out)]
+    out[0] = out[0][:, 0]
+    if order is not None:
+        back = np.argsort(order)
+        out = [o[back] for o in out]
+    return tuple(out)
 
 
 def exact_mva(network: ClosedNetwork, population: int) -> MVAResult:
@@ -298,41 +325,15 @@ def exact_mva(network: ClosedNetwork, population: int) -> MVAResult:
                      population, float(x[0]), residence[0], q[0], u[0])
 
 
-def exact_throughputs(demands: np.ndarray, is_queue: np.ndarray,
-                      scv: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """Throughputs of a batch of single-channel closed chains.
-
-    The fast-path entry used by the flow solver: rows are raw station
-    vectors (single-channel queueing and delay stations only — no
-    Seidmann expansion is applied), ``populations`` the per-chain
-    customer counts (>= 1).  Returns the per-chain throughput array.
-
-    Telemetry counts each row as one ``qnet.mva.exact.calls`` (a batch of
-    C chains does the work of C scalar solves) plus one
-    ``qnet.mva.exact.batches``, and times the recursion into the
-    ``latency.mva.batch_seconds`` histogram.
-    """
-    tel = _obs_state._active
-    if tel is None:
-        x, _, _, _ = _exact_recursion(demands, is_queue, scv, populations)
-        return x
-    with tel.metrics.timer(_names.LATENCY_MVA_BATCH_SECONDS):
-        x, _, _, _ = _exact_recursion(demands, is_queue, scv, populations)
-    reg = tel.metrics
-    reg.counter(_names.QNET_MVA_EXACT_CALLS).inc(len(populations))
-    reg.counter(_names.QNET_MVA_EXACT_ITERATIONS).inc(int(populations.sum()))
-    reg.counter(_names.QNET_MVA_EXACT_BATCHES).inc()
-    return x
-
-
 def exact_throughputs_cells(
         blocks: "list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]",
 ) -> list[np.ndarray]:
     """Fused multi-cell exact MVA over a ``[cell, chain, station]`` tensor.
 
     ``blocks`` holds one ``(demands, is_queue, scv, populations)`` tuple
-    per grid cell, each a ``[chain, station]`` batch as accepted by
-    :func:`exact_throughputs`.  Cells sharing a station width are
+    per grid cell, each a ``[chain, station]`` batch of single-channel
+    queueing and delay stations (no Seidmann expansion) with per-chain
+    populations >= 1.  Cells sharing a station width are
     concatenated into a single ``[cell x chain, station]`` recursion —
     the fused tensor flattened along its first two axes, which is exact
     because every recursion operation is row-independent — while cells
@@ -453,7 +454,7 @@ def schweitzer_throughputs(demands: np.ndarray, is_queue: np.ndarray,
                            max_iter: int = 100_000) -> np.ndarray:
     """Batched Schweitzer AMVA throughputs on ``[chains, stations]`` rows.
 
-    The degraded counterpart of :func:`exact_throughputs` — same row
+    The degraded counterpart of :func:`exact_throughputs_cells` — same row
     layout (single-channel queueing and delay stations, padded rows
     allowed), O(iterations) independent of the populations, so the flow
     fixed point stays cheap when a chain's exact recursion is abandoned.

@@ -19,8 +19,9 @@ The ``r`` off-chip requests of a run are grouped into *stall episodes* of
 
 Cores of each processor form one closed chain solved by exact MVA;
 processors sharing controller groups are coupled by a shadow-server fixed
-point (a foreign load of utilisation ``rho`` inflates the local view of
-the service demand by ``1/(1 - rho)``).
+point: a station loaded by a foreign busy fraction ``b`` looks
+``1 + 20 b`` times slower to the local chain (the bounded linear law of
+``_CONGESTION_GAIN``, which replaced the open-queue pole ``1/(1 - b)``).
 
 Outputs are the paper's counters: total cycles across cores, work cycles,
 stall cycles and LLC misses, with cycle bookkeeping exact by construction:
@@ -32,15 +33,23 @@ Three layers keep repeated solves cheap (see docs/PERFORMANCE.md):
 
 * whole solves are memoized in :data:`repro.perf.flow_cache`, keyed on
   the content hash of (machine, profile, allocation);
-* within the shadow fixed point, each Jacobi iteration assembles every
-  processor's chain into one ``[chains, stations]`` batch — rows are
-  canonically sorted and bitwise-deduplicated (symmetric processors
-  collapse to a single MVA solve) and individual chain solutions are
-  memoized in :data:`repro.perf.mva_cache`;
+* the Jacobi state of every live cell is one set of
+  ``[cell, processor, group, kind]`` arrays, so a round of the shadow
+  fixed point runs a fixed number of numpy operations however many
+  cells are live.  Each chain row is sorted into a canonical station
+  order, rows are bitwise-deduplicated across cells (symmetric
+  processors collapse to one solve) and memoized in
+  :data:`repro.perf.mva_cache`, and the rest are solved in one MVA
+  batch per station width;
 * once the damped iteration is in its geometric tail, the remaining
   distance to the fixed point is extrapolated in one jump instead of
   being iterated out (the loop still runs to the usual tolerance, so the
   fixed point reached is the same to within it).
+
+Sums across processors or keys run left to right from ``+0.0``: never
+``sum()``, which adds floats with compensation since Python 3.12, and
+never numpy's pairwise reductions.  A cell's bits therefore depend
+neither on the interpreter nor on the cells that share its arrays.
 
 One driver
 ----------
@@ -58,6 +67,7 @@ entry it came through; see docs/PERFORMANCE.md.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import cast
@@ -195,70 +205,115 @@ def smt_paired_fraction(alloc: CoreAllocation) -> float:
     return paired / len(active)
 
 
-def _controller_groups(machine: Machine) -> dict[str, dict]:
-    """Pool controllers into station groups.
+@dataclass(frozen=True)
+class _Stations:
+    """Station tables of one machine.
 
-    UMA: one shared group.  NUMA: one group per processor (its controllers
-    pooled), keyed ``"mc<p>"``.  Each group records the pooled service
-    time per request and its service-time SCV.
+    Controller group ``g`` of a NUMA machine pools processor ``g``'s
+    controllers and is named ``"mc<g>"``; a UMA machine has the one
+    shared group ``"mc"``, index 0.  Per group: the pooled service time
+    per request (``service_sat`` at saturation), the service-time SCV
+    and the idle access latency, in cycles.  ``hop_cycles[p][q]`` and
+    ``hops[p][q]`` are the interconnect latency (cycles) and the mean
+    hop count from processor ``p``'s controllers to ``q``'s; both are 0
+    on the diagonal.
+    """
+
+    names: tuple[str, ...]
+    uma: bool
+    service: tuple[float, ...]
+    service_sat: tuple[float, ...]
+    scv: tuple[float, ...]
+    latency: tuple[float, ...]
+    hop_cycles: tuple[tuple[float, ...], ...]
+    hops: tuple[tuple[float, ...], ...]
+    bus_cycles: float
+    link_cycles: float
+
+
+def _mean(values: list[float]) -> float:
+    """Mean of ``values``, summed left to right from ``+0.0``.
+
+    Not ``sum()``: since Python 3.12 it adds floats with Neumaier
+    compensation, which would tie the solver's bits to the interpreter.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+#: Station tables by machine identity.  Machines are frozen; an entry
+#: holds its machine, keeping the ``id`` valid, and the memo is cleared
+#: wholesale when it fills up.
+_STATIONS_MEMO: dict[int, tuple[Machine, _Stations]] = {}
+_STATIONS_MEMO_MAX = 64
+
+
+def _stations(machine: Machine) -> _Stations:
+    """The station tables of ``machine``, built once per machine."""
+    hit = _STATIONS_MEMO.get(id(machine))
+    if hit is not None and hit[0] is machine:
+        return hit[1]
+    st = _build_stations(machine)
+    if len(_STATIONS_MEMO) >= _STATIONS_MEMO_MAX:
+        _STATIONS_MEMO.clear()
+    _STATIONS_MEMO[id(machine)] = (machine, st)
+    return st
+
+
+def _build_stations(machine: Machine) -> _Stations:
+    """Pool each processor's controllers into one station group.
+
+    Controllers of one processor have identical DRAM in our presets; a
+    custom machine may mix them, so their times are averaged.
     """
     freq = machine.frequency
-    groups: dict[str, dict] = {}
-    if machine.architecture is MemoryArchitecture.UMA:
+    procs = machine.processors
+    uma = machine.architecture is MemoryArchitecture.UMA
+    bus_cycles = 0.0
+    if uma:
         ctl = machine.shared_controller
-        assert ctl is not None
-        groups["mc"] = {
-            "processor": None,
-            "service": ctl.dram.mean_service_cycles(freq) / ctl.dram.channels,
-            "service_sat": ctl.dram.mean_service_cycles_at(freq, 1.0)
-            / ctl.dram.channels,
-            "scv": ctl.dram.service_scv(),
-            "latency": ctl.dram.idle_latency_cycles(freq),
-        }
-        return groups
-    for proc in machine.processors:
-        total_channels = sum(c.dram.channels for c in proc.controllers)
-        # Controllers of one processor have identical DRAM in our presets;
-        # average defensively in case a custom machine mixes them.
-        mean_service = sum(
-            c.dram.mean_service_cycles(freq) for c in proc.controllers
-        ) / len(proc.controllers)
-        mean_service_sat = sum(
-            c.dram.mean_service_cycles_at(freq, 1.0) for c in proc.controllers
-        ) / len(proc.controllers)
-        scv = sum(c.dram.service_scv() for c in proc.controllers) \
-            / len(proc.controllers)
-        groups[f"mc{proc.index}"] = {
-            "processor": proc.index,
-            "service": mean_service / total_channels,
-            "service_sat": mean_service_sat / total_channels,
-            "scv": scv,
-            "latency": sum(
-                c.dram.idle_latency_cycles(freq) for c in proc.controllers
-            ) / len(proc.controllers),
-        }
-    return groups
-
-
-def _hops_between(machine: Machine, src_proc: int, dst_proc: int) -> float:
-    """Mean hop count between two processors' controller sets."""
-    if machine.interconnect is None or src_proc == dst_proc:
-        return 0.0
-    src = [c.controller_id for c in machine.processors[src_proc].controllers]
-    dst = [c.controller_id for c in machine.processors[dst_proc].controllers]
-    return sum(machine.interconnect.hops(a, b) for a in src for b in dst) \
-        / (len(src) * len(dst))
-
-
-def _hop_cycles(machine: Machine, src_proc: int, dst_proc: int) -> float:
-    """Interconnect latency (cycles) between two processors' controllers."""
-    if machine.interconnect is None or src_proc == dst_proc:
-        return 0.0
-    src = [c.controller_id for c in machine.processors[src_proc].controllers]
-    dst = [c.controller_id for c in machine.processors[dst_proc].controllers]
-    ns = sum(machine.interconnect.latency_ns(a, b) for a in src for b in dst) \
-        / (len(src) * len(dst))
-    return machine.frequency.cycles_in(ns * 1e-9)
+        bus = procs[0].bus
+        assert ctl is not None and bus is not None
+        groups = [("mc", [ctl], ctl.dram.channels)]
+        bus_cycles = bus.transfer_cycles(freq)
+    else:
+        groups = [(f"mc{p.index}", list(p.controllers),
+                   sum(c.dram.channels for c in p.controllers))
+                  for p in procs]
+    hop_cycles = [[0.0] * len(procs) for _ in procs]
+    hops = [[0.0] * len(procs) for _ in procs]
+    ic = machine.interconnect
+    if ic is not None:
+        for src in procs:
+            for dst in procs:
+                if src.index == dst.index:
+                    continue
+                pairs = [(a.controller_id, b.controller_id)
+                         for a in src.controllers for b in dst.controllers]
+                hops[src.index][dst.index] = \
+                    sum(ic.hops(a, b) for a, b in pairs) / len(pairs)
+                hop_cycles[src.index][dst.index] = freq.cycles_in(
+                    _mean([ic.latency_ns(a, b) for a, b in pairs]) * 1e-9)
+    return _Stations(
+        names=tuple(name for name, _, _ in groups),
+        uma=uma,
+        service=tuple(_mean([c.dram.mean_service_cycles(freq) for c in ctls])
+                      / channels for _, ctls, channels in groups),
+        service_sat=tuple(
+            _mean([c.dram.mean_service_cycles_at(freq, 1.0) for c in ctls])
+            / channels for _, ctls, channels in groups),
+        scv=tuple(_mean([c.dram.service_scv() for c in ctls])
+                  for _, ctls, _ in groups),
+        latency=tuple(_mean([c.dram.idle_latency_cycles(freq) for c in ctls])
+                      for _, ctls, _ in groups),
+        hop_cycles=tuple(map(tuple, hop_cycles)),
+        hops=tuple(map(tuple, hops)),
+        bus_cycles=bus_cycles,
+        link_cycles=freq.cycles_in(ic.link_transfer_ns() * 1e-9)
+        if ic is not None else 0.0,
+    )
 
 
 def solve_flow(profile: MemoryProfile, machine: Machine,
@@ -266,10 +321,11 @@ def solve_flow(profile: MemoryProfile, machine: Machine,
                policy: ConvergencePolicy | None = None) -> FlowResult:
     """Solve the closed network for one allocation; see module docstring.
 
-    It is the one-cell call of the driver :func:`solve_flow_cells` also
-    runs, so the two agree bit for bit.  Results are memoized in :data:`repro.perf.flow_cache`; a repeat solve
-    of an identical (machine, profile, allocation) triple returns a copy
-    of the cached result (``runtime.flow.solves`` counts actual solves,
+    It is the one-cell call of the driver that :func:`solve_flow_cells`
+    runs, so the two agree bit for bit.  Results are memoized in
+    :data:`repro.perf.flow_cache`; a repeat solve of an identical
+    (machine, profile, allocation) triple returns a copy of the cached
+    result (``runtime.flow.solves`` counts actual solves,
     ``perf.cache.flow.hits`` the memoized returns).
 
     The shadow fixed point runs under a convergence watchdog and the
@@ -454,6 +510,7 @@ def _attempt(cells: "list[tuple[MemoryProfile, Machine, CoreAllocation]]",
     idxs = list(range(len(cells)))
     pools = [idxs] if solver == "exact" else [[i] for i in idxs]
     for pool in pools:
+        n_slots = max(cells[i][1].n_processors for i in pool)
         live: dict[int, _FlowCell] = {}
         for i in pool:
             try:
@@ -461,49 +518,51 @@ def _attempt(cells: "list[tuple[MemoryProfile, Machine, CoreAllocation]]",
             except SolverError as exc:
                 outcomes[i] = exc
                 continue
-            live[i] = _FlowCell(*cells[i], solver=solver, damping=damping,
-                                policy=policy, accept_nonconverged=final)
-        _step(live, solver, outcomes)
+            profile, machine, alloc = cells[i]
+            live[i] = _FlowCell(profile, machine, alloc, _stations(machine),
+                                n_slots, solver=solver, policy=policy,
+                                accept_nonconverged=final)
+        _step(live, solver, damping, outcomes)
     return outcomes
 
 
-def _step(live: "dict[int, _FlowCell]", solver: str,
+def _step(live: "dict[int, _FlowCell]", solver: str, damping: float,
           outcomes: list) -> None:
     """Step ``live`` cells in lock-step until each converges or fails.
 
-    Each round solves every live cell's pending chain rows in one
+    Each round assembles the chain rows of every live cell as one set of
+    arrays, solves the rows the mva memo cannot answer in one
     :func:`_solve_rows` call, then steps every cell once; a cell leaves
     with its outcome while stragglers keep iterating.
     """
-    while live:
-        # Rows are keyed by content, so equal keys carry equal rows.
-        rows = {row[0]: row for cell in live.values()
-                for row in cell.assemble()}
+    if not live:
+        return
+    idxs = list(live)
+    pool = _Pool(list(live.values()), solver, damping)
+    while idxs:
+        rows, *arrays = pool.assemble()
         try:
-            solutions = _solve_rows(solver, list(rows.values())) \
-                if rows else {}
+            solutions = _solve_rows(solver, rows, *arrays) if rows else {}
         except SolverError as exc:
             # Only Schweitzer raises here, and it never pools cells.
-            for i in live:
+            for i in idxs:
                 outcomes[i] = exc
             return
-        for i, cell in list(live.items()):
-            cell.absorb(solutions)
-            try:
-                if not cell.update():
-                    continue
-                outcomes[i] = cell.finalize()
-            except SolverError as exc:
-                outcomes[i] = exc
-            del live[i]
+        finished = pool.update(solutions)
+        if finished:
+            for pos, outcome in finished.items():
+                outcomes[idxs[pos]] = outcome
+            idxs = [i for pos, i in enumerate(idxs) if pos not in finished]
 
 
-def _solve_rows(solver: str, rows: list[tuple]) -> dict:
+def _solve_rows(solver: str, rows: list[tuple], demands: np.ndarray,
+                is_queue: np.ndarray, scv: np.ndarray) -> dict:
     """Solve deduplicated chain rows in stacked batches; memoize each.
 
-    ``rows`` are ``(key, population, demands, is_queue, scv)`` tuples as
-    produced by :meth:`_FlowCell.assemble`; ``solver`` names the ladder
-    rung.  Rows are grouped by station width and stacked into one solver
+    ``rows`` are ``(key, population, index, width)`` tuples as produced
+    by :meth:`_Pool.assemble`: row ``index`` of the ``[row, station]``
+    arrays, cut to the row's cell's ``width``.  ``solver`` names the
+    ladder rung.  Rows are grouped by width and stacked into one solver
     call per width: pooling cells of different machines must never pad
     a row beyond its own cell's width, because crossing numpy's
     pairwise-summation block boundaries could change the last ulp of a
@@ -513,61 +572,71 @@ def _solve_rows(solver: str, rows: list[tuple]) -> dict:
     out: dict[tuple, float] = {}
     by_width: dict[int, list[tuple]] = {}
     for row in rows:
-        by_width.setdefault(len(row[2]), []).append(row)
+        by_width.setdefault(row[3], []).append(row)
     batches = [batch for _, batch in sorted(by_width.items())]
-    blocks = [(
-        np.stack([b[2] for b in batch]),
-        np.stack([b[3] for b in batch]),
-        np.stack([b[4] for b in batch]),
-        np.array([b[1] for b in batch]),
-    ) for batch in batches]
+    # Each batch goes in by descending population, the order in which
+    # the exact recursion retires its rows; a row's bits do not depend
+    # on its place in the batch.
+    ranked = [sorted(batch, key=lambda row: -row[1]) for batch in batches]
+    blocks = []
+    for batch in ranked:
+        idx = np.array([row[2] for row in batch])
+        width = batch[0][3]
+        blocks.append((demands[idx, :width], is_queue[idx, :width],
+                       scv[idx, :width], np.array([row[1] for row in batch])))
     if solver == "exact":
         solved = exact_throughputs_cells(blocks)
     elif solver == "schweitzer":
         solved = [schweitzer_throughputs(*block) for block in blocks]
     else:
         solved = [bound_throughputs(*block) for block in blocks]
-    for batch, xs in zip(batches, solved):
-        for (key, _, _, _, _), xv in zip(batch, xs):
-            xv = float(xv)
-            _mva_cache.put(key, xv)
-            out[key] = xv
+    for batch, xs in zip(ranked, solved):
+        out.update(zip((row[0] for row in batch), xs.tolist()))
+    for batch in batches:
+        for row in batch:
+            _mva_cache.put(row[0], out[row[0]])
     return out
+
+
+#: Column layout of a chain row before sorting: think time, the
+#: front-side bus (UMA), the fixed idle/hop latency, one column per
+#: controller group, and the processor's interconnect port.  A column a
+#: chain does not have is padding: ``_PAD`` in ``kind``, demand 0, SCV 1.
+#: The order of the columns does not matter: a row is sorted before it
+#: is solved, and stations that tie in every sort key are identical.
+_DELAY, _QUEUE, _PAD = 0, 1, 2
+_GROUPS = 3     # the first controller-group column
+
+#: The per-cell constants of :class:`_Pool`, each a ``[processor,
+#: group, kind]`` table: kind 0 is the controller group, kind 1 the
+#: group's processor's port.  A slot a cell does not use holds the
+#: value that keeps its contribution and its row demand at ``+0.0``.
+_CONSTANTS = ("visits", "mlp", "rate", "penalty", "svc_scale", "base",
+              "service", "gap", "own_bg_weight")
 
 
 class _FlowCell:
     """One (profile, machine, allocation) cell of the shadow fixed point.
 
-    The solve is split into externally steppable phases so one driver
-    loop can interleave many cells:
-
-    * :meth:`assemble` refreshes the load-dependent station demands
-      against the current utilisation state and returns the chain rows
-      whose MVA solution is not already memoized;
-    * :meth:`absorb` hands back the solved throughputs;
-    * :meth:`update` applies the damped Jacobi step, returning ``True``
-      once converged (a watchdog trip raises unless this is the final
-      ladder rung);
-    * :meth:`finalize` turns the fixed point into a :class:`FlowResult`.
-
-    A cell's floating-point operations depend only on the cell: pooled
-    rows are deduplicated by content and never padded past their own
-    cell's width, so a cell's result is the same bits whichever cells
-    share its batches.
+    Holds what stays fixed while the cell iterates: the workload
+    aggregates under the allocation, the constants and chain-row
+    templates of every active processor (as flat lists laid out for a
+    pool whose widest machine has ``n_slots`` processors; :class:`_Pool`
+    stacks them into arrays and runs the fixed point), the watchdog and
+    the tail-jump count.  :meth:`finalize` turns the fixed point into a
+    :class:`FlowResult`.
     """
 
     def __init__(self, profile: MemoryProfile, machine: Machine,
-                 alloc: CoreAllocation, *, solver: str, damping: float,
-                 policy: ConvergencePolicy,
+                 alloc: CoreAllocation, st: _Stations, n_slots: int, *,
+                 solver: str, policy: ConvergencePolicy,
                  accept_nonconverged: bool) -> None:
         self.profile = profile
         self.solver = solver
-        self.damping = damping
         self.accept_nonconverged = accept_nonconverged
         n = alloc.n_active
         counts = alloc.cores_per_processor()
         active = alloc.active_processors()
-        freq = machine.frequency
 
         # --- workload aggregates under this allocation -----------------------
         share = cross_package_share(alloc)
@@ -580,40 +649,12 @@ class _FlowCell:
         episodes = r / profile.mlp
         think = (w_eff + b_eff) / episodes
         amp = profile.write_amplification
+        mlp = profile.mlp
 
-        groups = _controller_groups(machine)
         # Effective station SCV: Allen-Cunneen style blend of service
         # variability (row hit/conflict) and traffic burstiness.
         ca2 = profile.burst.arrival_scv
-        for g in groups.values():
-            g["scv_eff"] = min(0.5 * (g["scv"] + ca2), _SCV_CAP)
-
-        is_uma = machine.architecture is MemoryArchitecture.UMA
-
-        # Visit probabilities: thread-private data (first-touch) stays on
-        # the requesting core's own processor; the shared fraction spreads
-        # over active processors proportionally to their core counts
-        # (first-touch under the paper's fixed thread count places data
-        # where threads run).  UMA machines send everything to the one
-        # shared group.
-        sdf = profile.shared_data_fraction
-
-        def visits(p: int) -> dict[str, float]:
-            if is_uma:
-                return {"mc": 1.0}
-            out = {f"mc{q}": sdf * counts[q] / n for q in active}
-            out[f"mc{p}"] = out.get(f"mc{p}", 0.0) + (1.0 - sdf)
-            return out
-
-        bus_cycles = 0.0
-        if is_uma:
-            bus = machine.processors[0].bus
-            assert bus is not None
-            bus_cycles = bus.transfer_cycles(freq)
-        link_cycles = 0.0
-        if machine.interconnect is not None:
-            link_cycles = freq.cycles_in(
-                machine.interconnect.link_transfer_ns() * 1e-9)
+        scv_eff = [min(0.5 * (scv + ca2), _SCV_CAP) for scv in st.scv]
         # Coherence probes fan out to every active core, so the protocol
         # traffic riding on each remote line grows smoothly with how far
         # the allocation extends beyond the first package (Magny-Cours
@@ -627,36 +668,72 @@ class _FlowCell:
         else:
             span = 0.0
         penalty_eff = profile.remote_penalty * span
+        link_cycles = st.link_cycles
+        # Remote lines, their write-back companions and the coherence
+        # messages riding with them occupy the destination processor's
+        # interconnect port: chains are coupled through the ports exactly
+        # like through the controllers.
+        ports = link_cycles > 0.0 and penalty_eff > 0.0
+        # A chain's own write-back/prefetch background delays its demand
+        # reads far less than foreign traffic does: real controllers
+        # drain write-backs in read-idle gaps (read-priority scheduling).
+        own_bg_weight = 1.0 - 1.0 / amp
 
-        # --- shadow-utilisation fixed point ----------------------------------
-        contrib: dict[tuple[int, str], float] = {
-            (p, gname): 0.0 for p in active for gname in visits(p)}
-        if not is_uma and link_cycles > 0.0:
-            # Incoming remote lines occupy the destination processor's
-            # port: chains are coupled through the ports exactly like
-            # through the controllers.
-            for p in active:
-                for q in active:
-                    if q != p:
-                        contrib[(q, f"port{p}")] = 0.0
-        x_proc: dict[int, float] = {p: 0.0 for p in active}
-        residence_mem: dict[int, float] = {p: 0.0 for p in active}
-
-        # --- chain templates --------------------------------------------------
+        # --- constants and chain templates -----------------------------------
         # Station values that do not move during the fixed point (think
         # time, bus demand, idle-latency delay, port base demand, SCVs)
-        # are assembled once; each Jacobi iteration only refreshes the
-        # load-dependent controller-group and port demands in the
-        # preallocated row.
-        own_bg_weight = 1.0 - 1.0 / amp
-        chains: list[dict] = []
+        # are laid out once; each round only refreshes the load-dependent
+        # controller-group and port demands.  Every table is a flat
+        # ``[processor, group, kind]`` list: ``visits`` holds the
+        # probability that a request of processor ``p`` visits group
+        # ``g`` (kind 0) and repeats it where the visit also occupies
+        # processor ``g``'s port (kind 1); the rest is what a visit's
+        # contribution and demand are scaled by (see :class:`_Pool`).
+        slots = n_slots
+        width = _GROUPS + slots + 1
+        pad = slots - len(st.service)
+        const = {
+            "visits": [0.0, 0.0] * slots * slots,
+            "mlp": [mlp, mlp] * slots * slots,
+            "rate": [amp, link_cycles] * slots * slots,
+            "penalty": [1.0, penalty_eff] * slots * slots,
+            "svc_scale": [1.0, 1.0] * slots * slots,
+            "base": [0.0, 0.0] * slots * slots,
+            "service": ([x for svc in st.service for x in (svc, 1.0)]
+                        + [0.0, 1.0] * pad) * slots,
+            "gap": ([x for sat, svc in zip(st.service_sat, st.service)
+                     for x in (sat - svc, 0.0)] + [0.0, 0.0] * pad) * slots,
+            "own_bg_weight": [own_bg_weight, 0.0] * slots * slots,
+        }
+        visits = const["visits"]
+        demands = [0.0] * (slots * width)
+        kind = [_PAD] * (slots * width)
+        scv = [1.0] * (slots * width)
+        sdf = profile.shared_data_fraction
         for p in active:
-            v = {g: vq for g, vq in visits(p).items() if vq > 0.0}
+            # Visit probabilities: thread-private data (first-touch) stays
+            # on the requesting core's own processor; the shared fraction
+            # spreads over active processors proportionally to their core
+            # counts (first-touch under the paper's fixed thread count
+            # places data where threads run).  UMA machines send
+            # everything to the one shared group.
+            if st.uma:
+                v = {0: 1.0}
+            else:
+                v = {q: sdf * counts[q] / n for q in active}
+                v[p] = v[p] + (1.0 - sdf)
+            row = p * width
             fixed_delay = 0.0
-            svc_scale: dict[str, float] = {}
-            for gname, vq in v.items():
-                g = groups[gname]
-                dst = g["processor"]
+            hops = 0.0
+            for g, vq in v.items():
+                if not vq > 0.0:
+                    continue
+                remote = not st.uma and g != p
+                slot = (p * slots + g) * 2
+                visits[slot] = vq
+                const["base"][slot] = vq * mlp
+                kind[row + _GROUPS + g] = _QUEUE
+                scv[row + _GROUPS + g] = scv_eff[g]
                 # Remote requests occupy the home controller longer than
                 # local ones: the directory/probe handling, the snoop
                 # round trip holding the transaction open, and the poor
@@ -664,67 +741,62 @@ class _FlowCell:
                 # (the second calibration knob) scales that extra
                 # occupancy per workload; it grows with the allocation's
                 # span because probe fan-out does.
-                svc_scale[gname] = 1.0 + penalty_eff \
-                    if (dst is not None and dst != p) else 1.0
+                if remote:
+                    const["svc_scale"][slot] = 1.0 + penalty_eff
                 # Idle access latency is paid once per episode
                 # (overlapped requests pipeline behind the first), plus
                 # interconnect hops for remote visits.
-                fixed_delay += vq * g["latency"]
-                if dst is not None:
-                    fixed_delay += vq * _hop_cycles(machine, p, dst)
-            port_base = 0.0
-            if link_cycles > 0.0 and penalty_eff > 0.0:
-                # Remote lines, their write-back companions and the
-                # coherence messages riding with them occupy this
-                # processor's interconnect port for one transfer per hop.
-                # ``remote_penalty`` scales the occupancy per workload —
-                # the hop structure (adjacent vs diagonal packages)
-                # stays, which is what makes the homogeneous-latency
-                # model variant lose accuracy on this machine.  (The
-                # remote *share* and the hop mix already grow with the
-                # span, so the port cost per core stays near-constant
-                # within a package — the near-linear segments of the
-                # paper's curves.)
-                port_base = sum(
-                    vq * _hops_between(machine, p, groups[gname]["processor"])
-                    for gname, vq in v.items()
-                    if groups[gname]["processor"] is not None
-                    and groups[gname]["processor"] != p
-                ) * profile.mlp * link_cycles * penalty_eff
-            demands = [think]
-            is_queue = [False]
-            scvs = [1.0]
-            if is_uma:
+                fixed_delay += vq * st.latency[g]
+                if not st.uma:
+                    fixed_delay += vq * st.hop_cycles[p][g]
+                if remote and ports:
+                    visits[slot + 1] = vq
+                    hops += vq * st.hops[p][g]
+            kind[row] = _DELAY
+            demands[row] = think
+            if st.uma:
                 # Write-backs and prefetches cross the front-side bus too.
-                demands.append(profile.mlp * amp * bus_cycles)
-                is_queue.append(True)
-                scvs.append(1.0)
-            group_idx: dict[str, int] = {}
-            for gname in v:
-                group_idx[gname] = len(demands)
-                demands.append(0.0)
-                is_queue.append(True)
-                scvs.append(groups[gname]["scv_eff"])
+                kind[row + 1] = _QUEUE
+                demands[row + 1] = mlp * amp * st.bus_cycles
             if fixed_delay > 0.0:
-                demands.append(fixed_delay)
-                is_queue.append(False)
-                scvs.append(1.0)
-            port_idx = None
-            if port_base > 0.0:
-                port_idx = len(demands)
-                demands.append(0.0)
-                is_queue.append(True)
-                scvs.append(1.0)
-            chains.append({
-                "p": p, "pop": counts[p], "visits": v, "svc_scale": svc_scale,
-                "demands": np.array(demands), "is_queue": np.array(is_queue),
-                "scv": np.array(scvs), "group_idx": group_idx,
-                "port_idx": port_idx, "port_base": port_base,
-            })
-        width = max(len(c["demands"]) for c in chains)
+                kind[row + 2] = _DELAY
+                demands[row + 2] = fixed_delay
+            if ports:
+                # One transfer per hop crossed; ``remote_penalty`` scales
+                # the occupancy per workload — the hop structure
+                # (adjacent vs diagonal packages) stays, which is what
+                # makes the homogeneous-latency model variant lose
+                # accuracy on this machine.  (The remote *share* and the
+                # hop mix already grow with the span, so the port cost
+                # per core stays near-constant within a package — the
+                # near-linear segments of the paper's curves.)
+                port_base = hops * mlp * link_cycles * penalty_eff
+                if port_base > 0.0:
+                    kind[row + width - 1] = _QUEUE
+                    const["base"][(p * slots + p) * 2 + 1] = port_base
+        # Sorting a row puts its delay stations first, then its queueing
+        # stations, then the padding, so a chain's sorted ``is_queue``
+        # never changes.  A row is cut to the cell's widest chain: padded
+        # to that width and no further.
+        is_queue = [k == _QUEUE for p in range(slots)
+                    for k in sorted(kind[p * width:(p + 1) * width])]
+        self.width = max(width - kind[p * width:(p + 1) * width].count(_PAD)
+                         for p in active)
+        self.chains = [
+            (p, counts[p], bytes(is_queue[p * width:p * width + self.width]))
+            for p in active]
+        self.slots = slots
+        #: Flat ``[processor, group, kind]`` indices of the contributions
+        #: this cell proposes, in ``proposed`` order.
+        self.keys = [k for k, vq in enumerate(visits) if vq > 0.0]
+        self.constants = [x for name in _CONSTANTS for x in const[name]]
+        self.demands = demands
+        self.kind = kind
+        self.scv = scv
+        self.is_queue = is_queue
 
-        self.prev_delta: dict[tuple[int, str], float] | None = None
         self.jumps = 0
+        self.has_prev = False
         self.dog = Watchdog(FLOW_SITE, max_iterations=policy.max_iterations,
                             time_budget_s=policy.time_budget_s)
 
@@ -735,210 +807,40 @@ class _FlowCell:
         self.w_eff = w_eff
         self.b_eff = b_eff
         self.think = think
-        self.amp = amp
-        self.groups = groups
-        self.link_cycles = link_cycles
-        self.penalty_eff = penalty_eff
-        self.own_bg_weight = own_bg_weight
-        self.chains = chains
-        self.width = width
-        self.contrib = contrib
-        self.x_proc = x_proc
-        self.residence_mem = residence_mem
+        self.uma = st.uma
+        self.group_names = st.names
         self.n_processors = machine.n_processors
-        self._loaded: dict[str, float] = {}
-        self._pending: dict[tuple, list[int]] = {}
-        self._solved: list[float | None] = []
 
-    def assemble(self) -> list[tuple]:
-        """One Jacobi assembly against the current utilisation state.
+    def finalize(self, util: list[list[float]],
+                 x: list[float]) -> FlowResult:
+        """Counter bookkeeping of the converged fixed point.
 
-        Every processor's network is refreshed against the *previous*
-        state, then all contributions update together in :meth:`update`
-        (sequential Gauss-Seidel updates would break the symmetry
-        between identical processors and drift toward a spurious
-        winner-takes-all fixed point).  Rows are sorted into a canonical
-        station order (only the throughput is consumed, which does not
-        depend on it) so symmetric processors produce bitwise-equal rows
-        and collapse to a single solve.  Returns the rows that missed
-        the MVA memo and still need solving.
-        """
-        contrib = self.contrib
-        profile = self.profile
-        # One insertion-order scan of the shared state groups it by
-        # station; each group's entries keep their relative order, which
-        # the order-sensitive float sums below depend on.
-        by_group: dict[str, list[tuple[int, float]]] = {}
-        for (p, g), v in contrib.items():
-            by_group.setdefault(g, []).append((p, v))
-
-        def foreign_util(gname: str, me: int) -> float:
-            """Load other processors put on a group, as seen by ``me``.
-
-            Individually capped below 1 so the shadow inflation stays
-            finite; the fixed point itself keeps the joint utilisation
-            physical (overload slows every contributor down).
-            """
-            other = sum(v for q, v in by_group.get(gname, ()) if q != me)
-            return min(other, _RHO_CEILING)
-
-        # Row-locality degradation: service grows with utilisation,
-        # quadratically — a lone stream keeps its row locality until the
-        # banks are genuinely crowded, so the degradation concentrates
-        # near saturation (this also keeps the feedback loop's mid-range
-        # gain low enough for a unique fixed point).  Hoisted per
-        # iteration: the utilisation state is frozen during assembly.
-        loaded: dict[str, float] = {}
-        for gname, g in self.groups.items():
-            rho = min(sum(v for _, v in by_group.get(gname, ())), 1.0)
-            loaded[gname] = g["service"] \
-                + (g["service_sat"] - g["service"]) * rho * rho
-        self._loaded = loaded
-
-        pending: dict[tuple, list[int]] = {}
-        solved: list[float | None] = [None] * len(self.chains)
-        rows: list[tuple] = []
-        for i, c in enumerate(self.chains):
-            p = c["p"]
-            d = c["demands"].copy()
-            for gname, idx in c["group_idx"].items():
-                # Blocking demand misses compete with every foreign
-                # stream *and* with this processor's own non-blocking
-                # background traffic (write-backs, prefetches).
-                # A chain's own write-back/prefetch background delays its
-                # demand reads far less than foreign traffic does: real
-                # controllers drain writebacks in read-idle gaps
-                # (read-priority scheduling), so it enters the busy term
-                # with a small weight.
-                own_background = contrib[(p, gname)] * self.own_bg_weight
-                busy = min(foreign_util(gname, p) + 0.25 * own_background,
-                           _RHO_CEILING)
-                inflate = 1.0 + _CONGESTION_GAIN * busy
-                d[idx] = c["visits"][gname] * profile.mlp \
-                    * loaded[gname] * c["svc_scale"][gname] * inflate
-            if c["port_idx"] is not None:
-                # Other chains' lines terminating here occupy this port
-                # as well; their utilisation inflates the local view like
-                # a foreign controller load.
-                incoming = min(foreign_util(f"port{p}", p), _RHO_CEILING)
-                d[c["port_idx"]] = c["port_base"] \
-                    * (1.0 + _CONGESTION_GAIN * incoming)
-            order = np.lexsort((c["scv"], d, c["is_queue"]))
-            d = d[order]
-            iq = c["is_queue"][order]
-            sv = c["scv"][order]
-            if len(d) < self.width:
-                pad = self.width - len(d)
-                d = np.concatenate([d, np.zeros(pad)])
-                iq = np.concatenate([iq, np.zeros(pad, dtype=bool)])
-                sv = np.concatenate([sv, np.ones(pad)])
-            key = ("chain", self.solver, c["pop"],
-                   d.tobytes(), iq.tobytes(), sv.tobytes())
-            cached = _mva_cache.get(key)
-            if cached is not _MISS:
-                solved[i] = cached
-            elif key in pending:
-                pending[key].append(i)
-            else:
-                pending[key] = [i]
-                rows.append((key, c["pop"], d, iq, sv))
-        self._pending = pending
-        self._solved = solved
-        return rows
-
-    def absorb(self, solutions: dict) -> None:
-        """Distribute solved throughputs onto this cell's pending chains."""
-        for key, idxs in self._pending.items():
-            xv = solutions[key]
-            for i in idxs:
-                self._solved[i] = xv
-
-    def update(self) -> bool:
-        """Apply one damped Jacobi step; ``True`` once converged.
-
-        A watchdog trip raises :class:`SolverError` unless this cell is
-        the final ladder rung (``accept_nonconverged``), in which case
-        the last iterate is accepted on the record — a degraded-but-
-        bounded answer beats a raise or a hang.
+        ``util[p][g]`` is what processor ``p``'s chain puts on controller
+        group ``g``, and ``x[p]`` is the chain's throughput.
         """
         profile = self.profile
-        loaded = self._loaded
-        solved = self._solved
-        contrib = self.contrib
-        proposed: dict[tuple[int, str], float] = {}
-        for i, c in enumerate(self.chains):
-            p = c["p"]
-            x_new = solved[i]
-            self.x_proc[p] = x_new
-            self.residence_mem[p] = c["pop"] / x_new - self.think
-            for gname, vq in c["visits"].items():
-                # Channel occupancy includes the non-blocking write-back
-                # / prefetch traffic that rides along with each demand
-                # miss, and the extra occupancy of remote requests.
-                proposed[(p, gname)] = \
-                    x_new * vq * profile.mlp * self.amp * loaded[gname] \
-                    * c["svc_scale"][gname]
-                dst = self.groups[gname]["processor"]
-                if self.link_cycles > 0.0 and self.penalty_eff > 0.0 \
-                        and dst is not None and dst != p:
-                    # Occupancy this chain's remote lines impose on the
-                    # *destination* processor's port (a line terminates
-                    # there exactly once, however many hops it crossed).
-                    proposed[(p, f"port{dst}")] = \
-                        x_new * vq * profile.mlp * self.link_cycles \
-                        * self.penalty_eff
-        max_delta = 0.0
-        delta: dict[tuple[int, str], float] = {}
-        for key, new_val in proposed.items():
-            old_val = contrib[key]
-            # Damped for stability; retries escalate to heavier damping
-            # (smaller new-value weight).
-            updated = (1.0 - self.damping) * old_val \
-                + self.damping * new_val
-            d_val = updated - old_val
-            delta[key] = d_val
-            max_delta = max(max_delta, abs(d_val))
-            contrib[key] = updated
-        if max_delta < 1e-9:
-            return True
-        try:
-            self.dog.tick(max_delta)
-        except SolverError as exc:
-            if not self.accept_nonconverged:
-                raise
-            # Final ladder rung: accept the last iterate, on the record.
-            record_event(DegradationEvent(
-                site=FLOW_SITE, action="gave_up", from_stage=self.solver,
-                to_stage=self.solver, detail=exc.message))
-            return True
-        if self.prev_delta is not None and self.jumps < _TAIL_MAX_JUMPS \
-                and max_delta < _TAIL_DELTA:
-            if _tail_jump(contrib, delta, self.prev_delta):
-                self.jumps += 1
-                self.prev_delta = None
-                return False
-        self.prev_delta = delta
-        return False
-
-    def finalize(self) -> FlowResult:
-        """Counter bookkeeping of the converged fixed point."""
-        profile = self.profile
-        contrib = self.contrib
-
-        def group_util(gname: str) -> float:
-            """Reported utilisation of a group (capped at the physical 1.0)."""
-            return min(
-                sum(v for (p, g), v in contrib.items() if g == gname), 1.0)
-
         episodes_per_core = self.r / (self.n * profile.mlp)
         per_core = [0.0] * self.n_processors
         memory_stall = 0.0
         for p in self.active:
-            cycle_time = self.think + self.residence_mem[p]
-            per_core[p] = episodes_per_core * cycle_time
+            residence_mem = self.counts[p] / x[p] - self.think
+            per_core[p] = episodes_per_core * (self.think + residence_mem)
             memory_stall += self.counts[p] * episodes_per_core \
-                * self.residence_mem[p]
+                * residence_mem
         total = self.w_eff + self.b_eff + memory_stall
+
+        # Reported utilisation of a group, capped at the physical 1.0.  A
+        # NUMA group of an inactive processor has no chain on it and
+        # reports the int 0 of an empty sum.
+        utilisation: dict[str, float] = {}
+        for g, name in enumerate(self.group_names):
+            if not self.uma and g not in self.active:
+                utilisation[name] = 0
+                continue
+            busy = 0.0
+            for p in self.active:
+                busy += util[p][g]
+            utilisation[name] = min(busy, 1.0)
 
         return FlowResult(
             n_active=self.n,
@@ -949,37 +851,277 @@ class _FlowCell:
             llc_misses=self.r,
             instructions=profile.instructions,
             per_core_cycles=tuple(per_core),
-            controller_utilisation={g: group_util(g) for g in self.groups},
+            controller_utilisation=utilisation,
             solver_stage=self.solver,
         )
 
 
-def _tail_jump(contrib: dict, delta: dict, prev_delta: dict) -> bool:
-    """Extrapolate the geometric tail of the damped fixed point.
+@functools.cache
+def _layout(slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of a pool whose widest machine has ``slots`` processors.
 
-    Estimates the common contraction ratio ``r`` from two consecutive
-    delta vectors (least squares) and, when every significant key agrees
-    with it, adds the remaining series ``delta * r / (1 - r)`` to each
-    contribution.  Returns whether the jump was applied.
+    ``skip[q, 0, 0, me]`` is 0 where processor ``q`` is ``me`` and 1
+    elsewhere: weighting a column sum with it gives the load foreign to
+    ``me``.  ``skip[q, 1]`` keeps every processor: the total, once per
+    processor.  ``columns[p]`` picks chain ``p``'s dynamic demands out
+    of a cell's flattened ``[processor, group, kind]`` table: every
+    controller group, then its own processor's port.
+    """
+    skip = np.ones((slots, 2, 1, slots, 1, 1))
+    skip[np.arange(slots), 0, 0, np.arange(slots)] = 0.0
+    columns = np.array([[(p * slots + g) * 2 for g in range(slots)]
+                        + [(p * slots + p) * 2 + 1] for p in range(slots)])
+    return skip, columns
+
+
+class _Pool:
+    """The live cells of one attempt, iterated as one set of arrays.
+
+    The Jacobi state is ``contrib[cell, processor, group, kind]``: the
+    busy fraction that processor ``p``'s chain puts on controller group
+    ``g`` (kind 0) and on processor ``g``'s interconnect port (kind 1).
+    Slots of inactive processors, of groups a chain never visits and of
+    the padding up to the pool's widest machine hold ``+0.0``; every
+    contribution is ``>= 0``, so adding one is exact and a cell's sums
+    see the bits they would see if the cell were solved alone.
+
+    The constants (``_CONSTANTS``) share that shape, so a round runs a
+    fixed number of numpy operations however many cells are live, and a
+    constant is never broadcast.  Controller slots and port slots go
+    through the same formulas; on a port slot the constants are the
+    identities (a service time of 1, no own background) that reduce
+    them, exactly, to the port's.  Per cell remain the mva-memo lookups,
+    the watchdog tick, the tail-jump decision and the result.
+    """
+
+    #: Per-cell arrays, dropped together when cells leave the pool.
+    _FIELDS = ("contrib", "prev", "demands", "kind", "scv", "is_queue")
+
+    def __init__(self, cells: list[_FlowCell], solver: str,
+                 damping: float) -> None:
+        self.cells = cells
+        self.solver = solver
+        self.damping = damping
+        slots = cells[0].slots
+        n_cells = len(cells)
+        rows = (n_cells, slots, _GROUPS + slots + 1)
+        # ``[constant, cell, processor, group, kind]``, so each constant is
+        # one contiguous block: numpy steps contiguous operands of one
+        # shape without building an iterator.
+        self._constants = np.array([c.constants for c in cells]).reshape(
+            n_cells, len(_CONSTANTS), slots, slots, 2).transpose(
+                1, 0, 2, 3, 4).copy()
+        self.demands = np.array([c.demands for c in cells]).reshape(rows)
+        self.kind = np.array([c.kind for c in cells],
+                             dtype=np.int8).reshape(rows)
+        self.scv = np.array([c.scv for c in cells]).reshape(rows)
+        self.is_queue = np.array([c.is_queue for c in cells]).reshape(rows)
+        self.contrib = np.zeros((n_cells, slots, slots, 2))
+        self.prev = self.contrib
+        self._skip, self._columns = _layout(slots)
+        self._index()
+
+    def _index(self) -> None:
+        """Constants, row offsets and chains of the cells now in the pool."""
+        (self.visits, self.mlp, self.rate, self.penalty, self.svc_scale,
+         self.base, self.service, self.gap, self.own_bg_weight) = \
+            self._constants     # in ``_CONSTANTS`` order
+        slots, width = self.kind.shape[1:]
+        self._offsets = (np.arange(len(self.cells) * slots)
+                         * width).reshape(-1, slots, 1)
+        self._chains = []
+        for pos, cell in enumerate(self.cells):
+            for p, pop, iq in cell.chains:
+                j = pos * slots + p
+                lo = 8 * j * width
+                self._chains.append((j, pop, cell.width, lo,
+                                     lo + 8 * cell.width, iq))
+
+    def assemble(self) -> tuple:
+        """One Jacobi assembly against the current utilisation state.
+
+        Every processor's network is refreshed against the *previous*
+        state, then all contributions update together in :meth:`update`
+        (sequential Gauss-Seidel updates would break the symmetry
+        between identical processors and drift toward a spurious
+        winner-takes-all fixed point).  Rows are sorted into a canonical
+        station order (only the throughput is consumed, which does not
+        depend on it) so symmetric processors produce bitwise-equal rows
+        and collapse to a single solve.  Returns the rows that missed
+        the MVA memo and still need solving, one per distinct key, and
+        the sorted ``[row, station]`` demands, ``is_queue`` and SCVs
+        they index.
+        """
+        contrib = self.contrib
+        n_cells, slots = contrib.shape[:2]
+        # Column sums over processors, left to right from +0.0, each
+        # ``[cell, processor, group, kind]``: ``foreign`` skips the
+        # chain's own processor, ``total`` keeps every processor.
+        foreign, total = np.add.accumulate(
+            contrib.transpose(1, 0, 2, 3)[:, None, :, None] * self._skip,
+            axis=0)[-1]
+        # Row-locality degradation: service grows with utilisation,
+        # quadratically — a lone stream keeps its row locality until the
+        # banks are genuinely crowded, so the degradation concentrates
+        # near saturation (this also keeps the feedback loop's mid-range
+        # gain low enough for a unique fixed point).
+        rho = np.minimum(total, 1.0)
+        loaded = self.service + self.gap * rho * rho
+        self._scale = loaded * self.penalty
+        # Blocking demand misses compete with every foreign stream *and*
+        # with this processor's own non-blocking background traffic
+        # (write-backs, prefetches), which enters with a small weight.
+        # Foreign loads are capped below 1 so the shadow inflation stays
+        # finite; the fixed point itself keeps the joint utilisation
+        # physical (overload slows every contributor down).  Other
+        # chains' lines terminating at a processor occupy its port the
+        # same way.
+        busy = np.minimum(
+            np.minimum(foreign, _RHO_CEILING)
+            + 0.25 * (contrib * self.own_bg_weight), _RHO_CEILING)
+        demand = self.base * loaded * self.svc_scale \
+            * (1.0 + _CONGESTION_GAIN * busy)
+        rows = self.demands
+        rows[..., _GROUPS:] = demand.reshape(n_cells, -1)[:, self._columns]
+        flat = np.lexsort((self.scv, rows, self.kind)) + self._offsets
+        d = rows.ravel()[flat]
+        sv = self.scv.ravel()[flat]
+        d_bytes, sv_bytes = d.tobytes(), sv.tobytes()
+
+        solver = self.solver
+        x = [0.0] * (n_cells * slots)
+        waiting: dict[tuple, list[int]] = {}
+        pending: list[tuple] = []
+        for j, pop, width, lo, hi, iq in self._chains:
+            key = ("chain", solver, pop, d_bytes[lo:hi], iq, sv_bytes[lo:hi])
+            cached = _mva_cache.get(key)
+            if cached is not _MISS:
+                x[j] = cached
+            elif key in waiting:
+                waiting[key].append(j)
+            else:
+                waiting[key] = [j]
+                pending.append((key, pop, j, width))
+        self._x = x
+        self._waiting = waiting
+        width = d.shape[-1]
+        return (pending, d.reshape(-1, width),
+                self.is_queue.reshape(-1, width), sv.reshape(-1, width))
+
+    def update(self, solutions: dict) -> dict[int, "FlowResult | SolverError"]:
+        """Apply one damped Jacobi step to every cell in the pool.
+
+        Returns the outcome of each cell that leaves the pool, by its
+        position: its result once converged, or the :class:`SolverError`
+        of a watchdog trip.  On the final ladder rung a trip is recorded
+        and the last iterate accepted instead — a degraded-but-bounded
+        answer beats a raise or a hang.
+        """
+        x = self._x
+        for key, waiting in self._waiting.items():
+            xv = solutions[key]
+            for j in waiting:
+                x[j] = xv
+        n_cells, n_slots = self.contrib.shape[:2]
+        # Channel occupancy includes the non-blocking write-back /
+        # prefetch traffic that rides along with each demand miss, and
+        # the extra occupancy of remote requests; a remote line occupies
+        # the destination processor's port once, however many hops it
+        # crossed.  Retries escalate to heavier damping (smaller
+        # new-value weight).
+        proposed = np.array(x).reshape(n_cells, n_slots, 1, 1) \
+            * self.visits * self.mlp * self.rate * self._scale \
+            * self.svc_scale
+        old = self.contrib
+        new = (1.0 - self.damping) * old + self.damping * proposed
+        delta = new - old
+        self.contrib = new
+        flat = delta.reshape(n_cells, -1)
+        widest = np.fmax.reduce(np.abs(flat), axis=1, initial=0.0).tolist()
+        finished: dict[int, FlowResult | SolverError] = {}
+        jumpers: list[int] = []
+        for pos, (cell, max_delta) in enumerate(zip(self.cells, widest)):
+            if max_delta < 1e-9:
+                finished[pos] = self._result(pos)
+                continue
+            try:
+                cell.dog.tick(max_delta)
+            except SolverError as exc:
+                if not cell.accept_nonconverged:
+                    finished[pos] = exc
+                    continue
+                # Final ladder rung: accept the last iterate, on the record.
+                record_event(DegradationEvent(
+                    site=FLOW_SITE, action="gave_up", from_stage=self.solver,
+                    to_stage=self.solver, detail=exc.message))
+                finished[pos] = self._result(pos)
+                continue
+            if cell.has_prev and cell.jumps < _TAIL_MAX_JUMPS \
+                    and max_delta < _TAIL_DELTA:
+                jumpers.append(pos)
+            cell.has_prev = True
+        if jumpers:
+            rows = new.reshape(n_cells, -1)
+            at: list[int] = []
+            values: list[float] = []
+            for pos, after, now, before in zip(
+                    jumpers, rows[jumpers].tolist(), flat[jumpers].tolist(),
+                    self.prev.reshape(n_cells, -1)[jumpers].tolist()):
+                cell = self.cells[pos]
+                jumped = _tail_jump(cell.keys, after, now, before)
+                if jumped is not None:
+                    cell.jumps += 1
+                    cell.has_prev = False
+                    at.extend(pos * rows.shape[1] + k for k in cell.keys)
+                    values.extend(jumped)
+            if at:
+                rows.ravel()[at] = values
+        self.prev = delta
+        if finished and len(finished) < n_cells:
+            keep = [pos for pos in range(n_cells) if pos not in finished]
+            self.cells = [self.cells[pos] for pos in keep]
+            for name in self._FIELDS:
+                setattr(self, name, getattr(self, name)[keep])
+            self._constants = self._constants[:, keep]
+            self._index()
+        return finished
+
+    def _result(self, pos: int) -> FlowResult:
+        """The result of the cell at ``pos`` from the current state."""
+        n_slots = self.contrib.shape[1]
+        return self.cells[pos].finalize(
+            self.contrib[pos, :, :, 0].tolist(),
+            self._x[pos * n_slots:(pos + 1) * n_slots])
+
+
+def _tail_jump(keys: list[int], contrib: list[float], delta: list[float],
+               prev: list[float]) -> list[float] | None:
+    """Extrapolate the geometric tail of one cell's damped fixed point.
+
+    ``contrib``, ``delta`` and ``prev`` are the cell's flattened
+    ``[processor, group, kind]`` rows and ``keys`` its proposed keys, in
+    ``proposed`` order: for each chain, each visited group, then that
+    group's port.  Estimates the common contraction ratio ``r`` from two
+    consecutive delta vectors (least squares, summed left to right from
+    +0.0) and, when every significant key agrees with it, returns each
+    key's contribution plus the remaining series ``delta * r / (1 - r)``;
+    otherwise ``None``.
     """
     num = 0.0
     den = 0.0
-    for key, pd in prev_delta.items():
-        num += delta.get(key, 0.0) * pd
-        den += pd * pd
+    for k in keys:
+        num += delta[k] * prev[k]
+        den += prev[k] * prev[k]
     if den <= 0.0:
-        return False
+        return None
     ratio = num / den
     if not _TAIL_RATIO_LO <= ratio <= _TAIL_RATIO_HI:
-        return False
-    significant = max(abs(pd) for pd in prev_delta.values()) * 0.05
-    for key, d_val in delta.items():
-        pd = prev_delta.get(key, 0.0)
-        if abs(pd) <= significant:
-            continue
-        if abs(d_val - ratio * pd) > _TAIL_RATIO_TOL * abs(pd):
-            return False
+        return None
+    sizes = [abs(prev[k]) for k in keys]
+    significant = max(sizes) * 0.05
+    for k, size in zip(keys, sizes):
+        if size > significant \
+                and abs(delta[k] - ratio * prev[k]) > _TAIL_RATIO_TOL * size:
+            return None
     gain = ratio / (1.0 - ratio)
-    for key, d_val in delta.items():
-        contrib[key] = max(contrib[key] + d_val * gain, 0.0)
-    return True
+    return [max(contrib[k] + delta[k] * gain, 0.0) for k in keys]

@@ -19,6 +19,7 @@ from repro.machine import CoreAllocation, amd_numa, intel_numa, intel_uma
 from repro.obs import names as _names
 from repro.resilience import ConvergencePolicy, faultinject
 from repro.runtime.flow import solve_flow, solve_flow_cells
+from test_flow_golden import _hexed
 from test_flow_properties import make_profile, profiles
 
 MACHINES = {"uma": intel_uma(), "numa": intel_numa(), "amd": amd_numa()}
@@ -74,6 +75,28 @@ class TestBitIdentity:
         batch = solve_flow_cells(cells)
         scalar = [solve_flow(p, m, a) for p, m, a in cells]
         assert_identical(batch, scalar)
+
+    @given(st.tuples(*(st.lists(st.tuples(profiles(),
+                                          st.integers(1, m.n_cores)),
+                                min_size=1, max_size=3)
+                       for m in MACHINES.values())),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=20, deadline=None)
+    def test_mixed_machine_pool_matches_single_solves(self, draws, rnd):
+        # The pool pads cells of 1-4 processors and rows of every width
+        # into one set of arrays: padding must never reach another
+        # cell's sums.  Every preset is in every pool, in shuffled order.
+        cells = [(profile, machine, CoreAllocation.paper_policy(machine, n))
+                 for machine, picks in zip(MACHINES.values(), draws)
+                 for profile, n in picks]
+        rnd.shuffle(cells)
+        pooled = solve_flow_cells(cells)
+        single = []
+        for cell in cells:
+            perf.clear_caches()
+            single.append(solve_flow(*cell))
+        assert [_hexed(dataclasses.asdict(r)) for r in pooled] \
+            == [_hexed(dataclasses.asdict(r)) for r in single]
 
     @pytest.mark.parametrize("cached", [True, False])
     def test_duplicate_cells_in_one_batch(self, cached):
