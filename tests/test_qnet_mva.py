@@ -1,5 +1,6 @@
 """MVA tests: exact recursion, Schweitzer approximation, Seidmann pooling."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from repro.qnet.mva import (
     ClosedNetwork,
     DelayStation,
     QueueingStation,
+    _exact_recursion,
     exact_mva,
     schweitzer_amva,
 )
@@ -95,6 +97,26 @@ class TestExactMVA:
         net = ClosedNetwork([QueueingStation("s", 0.0)])
         with pytest.raises(ValidationError):
             net.solve(3)
+
+    def test_batch_rows_get_their_solo_bits_in_any_order(self):
+        # The batched recursion steps the rows still live at step k as a
+        # prefix of the batch sorted by population; every row, in any
+        # input order and with population 0 among them, must come back
+        # in its place with the bits it gets when solved alone.
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n, w = rng.integers(1, 7, size=2)
+            demands = rng.exponential(1.0, (n, w))
+            demands[:, 0] += 0.1
+            is_queue = rng.random((n, w)) < 0.6
+            scv = rng.exponential(1.0, (n, w))
+            pops = rng.integers(0, 13, n)
+            batch = _exact_recursion(demands, is_queue, scv, pops)
+            for i in range(n):
+                alone = _exact_recursion(demands[i:i + 1], is_queue[i:i + 1],
+                                         scv[i:i + 1], pops[i:i + 1])
+                for got, want in zip(batch, alone):
+                    assert got[i].tobytes() == want[0].tobytes()
 
 
 class TestSeidmannMultiserver:
