@@ -105,6 +105,36 @@ def test_burst_sampling_100k_windows(benchmark):
     assert trace.n_windows == 100_000
 
 
+@pytest.mark.parametrize("size, kind, heavy", [
+    pytest.param("A", "OnOffArrivals", True, id="onoff-pareto"),
+    pytest.param("B", "OnOffArrivals", False, id="onoff-exp"),
+    pytest.param("C", "DeterministicArrivals", None, id="deterministic")])
+def test_counts_in_windows(benchmark, size, kind, heavy):
+    """One burst-sampler stream: 1,250 five-microsecond window counts.
+
+    The process is what ``arrival_process_for`` builds for CG at ``size``
+    from its calibrated profile on ``intel_numa`` with all 24 cores (the
+    sampler itself raises CG.A's rate by its phase envelope).  Every
+    round counts with a fresh generator at the same seed.
+    """
+    from repro.counters.sampler import arrival_process_for
+    from repro.machine import intel_numa
+    from repro.runtime.calibration import calibrate_profile
+
+    machine = intel_numa()
+    process = arrival_process_for(calibrate_profile("CG", size, machine),
+                                  machine, 24)
+    assert type(process).__name__ == kind
+    assert getattr(process, "heavy_tailed", None) == heavy
+
+    def count():
+        return process.counts_in_windows(5e-6, 1250,
+                                         rng=np.random.default_rng(20110913))
+
+    counts = benchmark(count)
+    assert counts.shape == (1250,) and counts.sum() > 0
+
+
 def test_model_fit_and_validate(benchmark):
     from repro.core import fit_model, validate_model
     from repro.machine import intel_numa

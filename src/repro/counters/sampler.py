@@ -4,8 +4,12 @@ Section III-B: "Using a very fine grained sampler we have developed, we
 measure the number of last-level cache misses that occur every five
 microseconds."  This module reproduces that instrument against simulated
 traffic: the calibrated workload profile determines the mean off-chip
-request rate, its burst profile determines the ON/OFF structure, and the
-sampler bins arrivals into five-microsecond windows.
+request rate, its burst profile determines the ON/OFF structure, and
+:meth:`~repro.desim.arrivals.ArrivalProcess.counts_in_windows` counts the
+arrivals in each five-microsecond window.  It counts against exact window
+edges, exactly as binning every arrival timestamp with ``floor_divide``
+would; an ON/OFF burst that starts and ends inside one window is counted
+there whole, without timestamps.
 
 Per the paper, the sampler is near-non-intrusive (<3 % perturbation of the
 miss count); we model it as exactly non-intrusive.

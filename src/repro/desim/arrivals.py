@@ -15,8 +15,12 @@ traffic.  We model both regimes:
   parametric SCV control for the flow-level G/G/1 corrections.
 
 Each process exposes its mean rate, an (analytic or estimated) interarrival
-squared coefficient of variation, and fast vectorised generation of arrival
-timestamps for the burst sampler.
+squared coefficient of variation, sorted arrival timestamps, and the burst
+sampler's per-window counts.  The counts equal binning every timestamp with
+``floor_divide`` but are taken against exact window edges
+(:func:`_window_edges`): renewal batches are binned as they are made, and an
+ON/OFF period that starts and ends in one window adds its count there
+without a timestamp per arrival.
 """
 
 from __future__ import annotations
@@ -64,38 +68,81 @@ class ArrivalProcess(abc.ABC):
         return float(x.var(ddof=1)) / (m * m)
 
     def arrival_times(self, horizon: float, rng=None) -> np.ndarray:
-        """Arrival timestamps in ``[0, horizon)``.
+        """Arrival timestamps in ``[0, horizon)``, ascending.
 
         Default implementation accumulates interarrivals in batches; heavy
         subclasses override with direct constructions.
         """
         check_positive("horizon", horizon)
-        rng = resolve_rng(rng)
-        out: list[np.ndarray] = []
-        t = 0.0
-        # Expected count plus slack; regenerate until horizon is covered.
-        batch = max(1024, int(self.mean_rate * horizon * 1.2) + 16)
-        while t < horizon:
-            gaps = self.sample_interarrivals(batch, rng)
-            times = t + np.cumsum(gaps)
-            out.append(times)
-            t = float(times[-1])
-        all_times = np.concatenate(out)
-        return all_times[all_times < horizon]
+        times = np.concatenate(list(self._batches(horizon, resolve_rng(rng))))
+        return times[times < horizon]
 
     def counts_in_windows(self, window: float, n_windows: int,
                           rng=None) -> np.ndarray:
         """Per-window arrival counts over ``n_windows`` windows of ``window``.
 
         This is the sampled quantity of the paper's 5 microsecond profiler.
+        ``counts[i]`` holds the arrivals ``t`` of :meth:`arrival_times` with
+        ``floor_divide(t, window) == i`` (clipped to the last window), drawn
+        from ``rng`` exactly as :meth:`arrival_times` draws them.
         """
         check_positive("window", window)
         check_integer("n_windows", n_windows, minimum=1)
-        horizon = window * n_windows
-        times = self.arrival_times(horizon, rng)
-        idx = np.floor_divide(times, window).astype(np.int64)
-        idx = np.clip(idx, 0, n_windows - 1)
-        return np.bincount(idx, minlength=n_windows).astype(np.int64)
+        horizon = check_positive("horizon", window * n_windows)
+        return self._window_counts(_window_edges(window, n_windows), horizon,
+                                   resolve_rng(rng))
+
+    def _batches(self, horizon: float, rng):
+        """Renewal arrival times in ascending batches past ``horizon``."""
+        t = 0.0
+        # Expected count plus slack; regenerate until horizon is covered.
+        batch = max(1024, int(self.mean_rate * horizon * 1.2) + 16)
+        while t < horizon:
+            times = t + np.cumsum(self.sample_interarrivals(batch, rng))
+            yield times
+            t = float(times[-1])
+
+    def _window_counts(self, edges: np.ndarray, horizon: float,
+                       rng) -> np.ndarray:
+        """Bin each renewal batch where it is made: it is already ascending."""
+        counts = np.zeros(edges.size + 1, dtype=np.int64)
+        for times in self._batches(horizon, rng):
+            counts += _binned(times, edges, horizon)
+        return counts
+
+
+def _window_edges(window: float, n_windows: int) -> np.ndarray:
+    """Exact window edges: the least float that bins into each later window.
+
+    ``edges[i-1]`` is the least float ``t`` with
+    ``np.floor_divide(t, window) >= i``, for ``i = 1..n_windows-1``.  Float
+    ``floor_divide`` is the exact floor of the real quotient, hence
+    monotone in ``t``, so ``searchsorted`` of ascending times against these
+    edges bins them as ``clip(floor_divide(t, window), 0, n_windows - 1)``
+    does.  The rounded product ``i * window`` can miss the edge by an ulp
+    either way; ``floor_divide`` itself decides each ``nextafter`` step.
+    """
+    i = np.arange(1, n_windows)
+    edges = i * window
+    while True:
+        low = np.floor_divide(edges, window) < i
+        if not low.any():
+            break
+        edges[low] = np.nextafter(edges[low], np.inf)
+    while True:
+        down = np.nextafter(edges, -np.inf)
+        high = np.floor_divide(down, window) >= i
+        if not high.any():
+            return edges
+        edges[high] = down[high]
+
+
+def _binned(times: np.ndarray, edges: np.ndarray,
+            horizon: float) -> np.ndarray:
+    """Per-window counts of the ascending ``times`` below ``horizon``."""
+    below = int(np.searchsorted(times, horizon))
+    cuts = np.searchsorted(times[:below], edges)
+    return np.diff(cuts, prepend=0, append=below)
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -229,11 +276,16 @@ class OnOffArrivals(ArrivalProcess):
         off = rng.exponential(self.mean_off, size=size)
         return on, off
 
-    def arrival_times(self, horizon: float, rng=None) -> np.ndarray:
-        check_positive("horizon", horizon)
-        rng = resolve_rng(rng)
+    def _periods(self, horizon: float, rng):
+        """ON periods in batches ``(starts, on, counts, u)`` past ``horizon``.
+
+        Period ``k`` starts at ``starts[k]``, lasts ``on[k]`` and holds
+        ``counts[k]`` arrivals at ``starts[k] + u * on[k]``, taking its
+        ``u`` from ``u`` in period order.  A batch draws
+        :meth:`_period_pairs`, then the Poisson counts, then
+        ``random(total)`` if it holds any arrival.
+        """
         mean_cycle = self.mean_on + self.mean_off
-        out: list[np.ndarray] = []
         t = 0.0
         while t < horizon:
             batch = max(64, int((horizon - t) / mean_cycle * 1.3) + 8)
@@ -244,16 +296,54 @@ class OnOffArrivals(ArrivalProcess):
             starts = t + np.concatenate(([0.0], np.cumsum(cycles)[:-1]))
             counts = rng.poisson(self.on_rate * on)
             total = int(counts.sum())
-            if total:
-                period_start = np.repeat(starts, counts)
-                period_len = np.repeat(on, counts)
-                times = period_start + rng.random(total) * period_len
-                out.append(times)
+            u = rng.random(total) if total else np.zeros(0)
+            yield starts, on, counts, u
             t = float(starts[-1] + cycles[-1])
-        if not out:
-            return np.zeros(0)
-        all_times = np.sort(np.concatenate(out))
-        return all_times[all_times < horizon]
+
+    def arrival_times(self, horizon: float, rng=None) -> np.ndarray:
+        check_positive("horizon", horizon)
+        periods = self._periods(horizon, resolve_rng(rng))
+        times = np.sort(np.concatenate(
+            [np.repeat(starts, counts) + u * np.repeat(on, counts)
+             for starts, on, counts, u in periods]))
+        return times[times < horizon]
+
+    def _window_counts(self, edges: np.ndarray, horizon: float,
+                       rng) -> np.ndarray:
+        """Whole periods add their count to one window; the rest get times.
+
+        An arrival ``s + u * on`` with ``0 <= u < 1`` lies in
+        ``[s, s + on]`` because rounding is monotone, so a period whose
+        start and end bin into one window, ending below ``horizon``, puts
+        every arrival there.  Periods starting at or past ``horizon``
+        contribute nothing; the others build their times as
+        :meth:`arrival_times` does.
+        """
+        n = edges.size + 1
+        # Window i ends at bound[i]: the next edge, or the horizon.
+        bound = np.append(edges, horizon)
+        out = np.zeros(n, dtype=np.int64)
+        for starts, on, counts, u in self._periods(horizon, rng):
+            live = int(np.searchsorted(starts, horizon))
+            starts, on, k = starts[:live], on[:live], counts[:live]
+            # ``starts`` ascend, so each period's window comes from the
+            # number of periods starting in each window.
+            first = np.repeat(np.arange(n), _binned(starts, edges, horizon))
+            whole = starts + on < bound[first]
+            # Float weights are exact: every sum stays below 2**53.
+            out += np.bincount(first[whole], weights=k[whole],
+                               minlength=n).astype(np.int64)
+            straddle = np.flatnonzero(~whole & (k > 0))
+            if straddle.size:
+                c = k[straddle]
+                # Period j's draws are u[offset[j]:offset[j] + k[j]].
+                offset = (np.cumsum(k) - k)[straddle]
+                pos = np.repeat(offset - (np.cumsum(c) - c), c) \
+                    + np.arange(int(c.sum()))
+                times = np.repeat(starts[straddle], c) \
+                    + u[pos] * np.repeat(on[straddle], c)
+                out += _binned(np.sort(times), edges, horizon)
+        return out
 
     def sample_interarrivals(self, n: int, rng=None) -> np.ndarray:
         check_integer("n", n, minimum=1)
@@ -300,10 +390,8 @@ class MMPPArrivals(ArrivalProcess):
         w = self.mean_holding / self.mean_holding.sum()
         return float(np.sum(w * self.rates))
 
-    def arrival_times(self, horizon: float, rng=None) -> np.ndarray:
-        check_positive("horizon", horizon)
-        rng = resolve_rng(rng)
-        out: list[np.ndarray] = []
+    def _sojourns(self, horizon: float, rng):
+        """Arrival times of each sojourn that holds any, past ``horizon``."""
         t = 0.0
         state = int(rng.integers(self.n_states))
         while t < horizon:
@@ -312,15 +400,24 @@ class MMPPArrivals(ArrivalProcess):
             if rate > 0 and dur > 0:
                 k = int(rng.poisson(rate * dur))
                 if k:
-                    out.append(t + rng.random(k) * dur)
+                    yield t + rng.random(k) * dur
             t += dur
             # Uniform jump to one of the other states.
             jump = int(rng.integers(self.n_states - 1))
             state = jump if jump < state else jump + 1
-        if not out:
-            return np.zeros(0)
-        all_times = np.sort(np.concatenate(out))
-        return all_times[all_times < horizon]
+
+    def _sorted_times(self, horizon: float, rng) -> np.ndarray:
+        return np.sort(np.concatenate([np.zeros(0),
+                                       *self._sojourns(horizon, rng)]))
+
+    def arrival_times(self, horizon: float, rng=None) -> np.ndarray:
+        check_positive("horizon", horizon)
+        times = self._sorted_times(horizon, resolve_rng(rng))
+        return times[times < horizon]
+
+    def _window_counts(self, edges: np.ndarray, horizon: float,
+                       rng) -> np.ndarray:
+        return _binned(self._sorted_times(horizon, rng), edges, horizon)
 
     def sample_interarrivals(self, n: int, rng=None) -> np.ndarray:
         check_integer("n", n, minimum=1)

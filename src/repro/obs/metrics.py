@@ -231,7 +231,7 @@ class MetricsRegistry:
         self._lock = threading.RLock()
 
     def _get(self, cls, name: str, labels: dict) -> object:
-        key = (name, tuple(sorted(labels.items())))
+        key = (name, tuple(sorted(labels.items())) if labels else ())
         # Fast path outside the lock: dict reads are atomic, and an
         # instrument, once registered, is never replaced or removed.
         inst = self._instruments.get(key)

@@ -10,6 +10,8 @@ from repro.desim.arrivals import (
     MMPPArrivals,
     OnOffArrivals,
     PoissonArrivals,
+    _binned,
+    _window_edges,
 )
 from repro.util.validation import ValidationError
 
@@ -153,3 +155,41 @@ class TestMMPP:
         x = p.sample_interarrivals(1000, rng)
         assert x.shape == (1000,)
         assert np.all(x >= 0)
+
+
+class TestWindowEdges:
+    """Exact-edge binning against one ``floor_divide`` per arrival."""
+
+    WINDOWS = (5e-6, 0.1, 0.2, 0.7, 1 / 3, 3.0)
+    N_WINDOWS = (1, 2, 3, 1250, 150_000)
+
+    @pytest.mark.parametrize("n_windows", N_WINDOWS)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_edges_are_least_floats_of_each_window(self, window, n_windows):
+        edges = _window_edges(window, n_windows)
+        i = np.arange(1, n_windows)
+        assert edges.shape == (n_windows - 1,)
+        assert np.all(np.floor_divide(edges, window) >= i)
+        assert np.all(np.floor_divide(np.nextafter(edges, -np.inf), window)
+                      < i)
+
+    @pytest.mark.parametrize("n_windows", N_WINDOWS)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_binning_matches_floor_divide(self, window, n_windows):
+        horizon = window * n_windows
+        grid = np.arange(n_windows + 1) * window
+        times = [grid, [0.0]]
+        up = down = grid
+        for _ in range(2):
+            up = np.nextafter(up, np.inf)
+            down = np.nextafter(down, -np.inf)
+            times += [up, down]
+        below = np.nextafter(horizon, -np.inf)
+        times.append([below, np.nextafter(below, -np.inf)])
+        t = np.sort(np.concatenate(times))
+        kept = t[t < horizon]
+        idx = np.clip(np.floor_divide(kept, window).astype(np.int64),
+                      0, n_windows - 1)
+        want = np.bincount(idx, minlength=n_windows)
+        got = _binned(t, _window_edges(window, n_windows), horizon)
+        assert np.array_equal(got, want)

@@ -60,6 +60,23 @@ class TestMetrics:
         assert snap["qnet.mva.exact.calls{machine=uma}"]["value"] == 3
         assert snap["qnet.mva.exact.calls{machine=numa}"]["value"] == 0
 
+    def test_lookup_keys(self):
+        """Unlabelled lookups key on ``(name, ())``; labels sort by name."""
+        reg = MetricsRegistry()
+        bare = reg.counter("perf.cache.flow.hits")
+        tagged = reg.counter("perf.cache.flow.hits", tier="l2", cache="flow")
+        assert reg.counter("perf.cache.flow.hits") is bare
+        assert reg.counter("perf.cache.flow.hits",
+                           cache="flow", tier="l2") is tagged
+        assert tagged is not bare
+        assert bare.labels == ()
+        assert tagged.labels == (("cache", "flow"), ("tier", "l2"))
+        assert set(reg._instruments) == {
+            ("perf.cache.flow.hits", ()),
+            ("perf.cache.flow.hits", (("cache", "flow"), ("tier", "l2")))}
+        assert reg.histogram("serve.latency") is reg.histogram(
+            "serve.latency")
+
     def test_dotted_name_validation(self):
         reg = MetricsRegistry()
         with pytest.raises(ValueError):
