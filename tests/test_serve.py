@@ -800,6 +800,34 @@ class TestReadTimeouts:
         assert rest == b""               # closed, nothing (no 500) written
         assert 0.25 <= idle_s < 5        # by the deadline, not at once
 
+    def test_a_steady_stream_outlives_the_timeout(self):
+        # The deadline bounds one wait, not the connection: memo hits
+        # sent back to back for 3x read_timeout_s keep the socket open.
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            body = json.dumps(PREDICT_BODY).encode()
+            request = (f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                       f"Content-Length: {len(body)}\r\n\r\n"
+                       ).encode() + body
+            loop = asyncio.get_running_loop()
+            statuses = []
+            try:
+                start = loop.time()
+                while loop.time() - start < 3 * server.read_timeout_s:
+                    writer.write(request)
+                    await writer.drain()
+                    status, headers, _ = await asyncio.wait_for(
+                        _read_response(reader), timeout=10)
+                    statuses.append((status, headers["connection"]))
+            finally:
+                await close(writer)
+            return statuses
+
+        statuses = run_with_server(scenario, read_timeout_s=0.1)
+        assert len(statuses) > 3
+        assert set(statuses) == {(200, "keep-alive")}
+
     def test_stalled_body_is_closed_without_a_response(self):
         obs.enable(fresh=True)
 

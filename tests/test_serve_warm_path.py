@@ -15,6 +15,7 @@ import functools
 import hashlib
 import itertools
 import json
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -355,6 +356,77 @@ class TestLoopPath:
         assert hit["trace"]["labels"] == {"request_id": hit["request_id"],
                                           "path": "/predict"}
         assert tel.tracer.roots == []          # both trees were detached
+
+
+def request_bytes(path: str, body, request_id: str,
+                  close: bool = False) -> bytes:
+    """One framed POST carrying a fixed request id."""
+    payload = json.dumps(body).encode()
+    return (f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+            f"X-Repro-Request-Id: {request_id}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            + ("Connection: close\r\n" if close else "")
+            + "\r\n").encode() + payload
+
+
+async def read_raw_response(reader) -> bytes:
+    """One whole response, head and body, exactly as written."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n",
+                           head).group(1))
+    return head + await reader.readexactly(length)
+
+
+class TestPipelining:
+    def test_one_write_of_four_is_answered_in_order(self, pool_submits):
+        serve(REQUESTS)                        # both hot bodies memoized
+        cold = {**PREDICT_BODY, "n_active": 3}
+        requests = [("/predict", PREDICT_BODY, "pipe-1", False),    # hit
+                    ("/predict", cold, "pipe-2", False),            # miss
+                    ("/recommend", RECOMMEND_BODY, "pipe-3", False),  # hit
+                    ("/predict", PREDICT_BODY, "pipe-4", True)]     # hit
+        raw = [request_bytes(*request) for request in requests]
+
+        async def main():
+            async with PredictionServer(port=0, workers=2) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                try:
+                    writer.write(b"".join(raw))
+                    await writer.drain()
+                    pipelined = [await asyncio.wait_for(
+                        read_raw_response(reader), timeout=30)
+                        for _ in raw]
+                    rest = await asyncio.wait_for(reader.read(), 10)
+                finally:
+                    writer.close()
+                recorded = [(e["request_id"], e["path"], e["status"])
+                            for e in reversed(server.stats.request_log
+                                              .recent())]
+                alone = []
+                for one in raw:
+                    reader, writer = await asyncio.open_connection(
+                        server.host, server.port)
+                    try:
+                        writer.write(one)
+                        await writer.drain()
+                        alone.append(await asyncio.wait_for(
+                            read_raw_response(reader), timeout=30))
+                    finally:
+                        writer.close()
+                return pipelined, rest, recorded, alone
+
+        pipelined, rest, recorded, alone = asyncio.run(main())
+        assert rest == b""                     # closed after the fourth
+        assert pipelined == alone
+        assert [re.search(rb"X-Repro-Request-Id: (\S+)", r).group(1)
+                for r in pipelined] == [b"pipe-1", b"pipe-2", b"pipe-3",
+                                        b"pipe-4"]
+        assert [r.split(b"\r\n\r\n", 1)[1] for r in pipelined] \
+            == [pure_answer(path, body) for path, body, _, _ in requests]
+        assert recorded == [(rid, path, 200)
+                            for path, _, rid, _ in requests]
+        assert len(pool_submits) == 2 + 1      # only the miss was pooled
 
 
 class TestResponseMemo:
