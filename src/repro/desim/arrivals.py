@@ -26,6 +26,7 @@ without a timestamp per arrival.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 
 import numpy as np
@@ -111,6 +112,7 @@ class ArrivalProcess(abc.ABC):
         return counts
 
 
+@functools.lru_cache(maxsize=4)
 def _window_edges(window: float, n_windows: int) -> np.ndarray:
     """Exact window edges: the least float that bins into each later window.
 
@@ -121,6 +123,8 @@ def _window_edges(window: float, n_windows: int) -> np.ndarray:
     edges bins them as ``clip(floor_divide(t, window), 0, n_windows - 1)``
     does.  The rounded product ``i * window`` can miss the edge by an ulp
     either way; ``floor_divide`` itself decides each ``nextafter`` step.
+    A sampler asks for the same edges for every stream, so the last few
+    are memoized and returned read-only.
     """
     i = np.arange(1, n_windows)
     edges = i * window
@@ -133,6 +137,7 @@ def _window_edges(window: float, n_windows: int) -> np.ndarray:
         down = np.nextafter(edges, -np.inf)
         high = np.floor_divide(down, window) >= i
         if not high.any():
+            edges.flags.writeable = False
             return edges
         edges[high] = down[high]
 

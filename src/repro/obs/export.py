@@ -29,10 +29,15 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
 
 from repro.obs import state as _state
 from repro.obs.metrics import wrap_snapshot
+
+if TYPE_CHECKING:
+    # Imported where a server is built: http.server pulls in http.client,
+    # ssl, email and socketserver, which ``import repro`` need not load.
+    from http.server import ThreadingHTTPServer
 
 
 def metrics_payload() -> tuple[int, dict]:
@@ -92,6 +97,8 @@ class MetricsServer:
     def start(self) -> "MetricsServer":
         if self._httpd is not None:
             raise RuntimeError("metrics server already started")
+        from http.server import ThreadingHTTPServer
+
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
         self.port = self._httpd.server_address[1]
@@ -142,6 +149,8 @@ class MetricsServer:
 
 
 def _make_handler(server: MetricsServer):
+    from http.server import BaseHTTPRequestHandler
+
     class _Handler(BaseHTTPRequestHandler):
         server_version = "repro-metrics/1"
 

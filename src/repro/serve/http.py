@@ -1,7 +1,7 @@
 """The asyncio HTTP front end of ``repro serve``.
 
-A stdlib-only HTTP/1.1 server (``asyncio.start_server``; no
-third-party frameworks) that frames requests and routes them:
+A stdlib-only HTTP/1.1 server (an ``asyncio.Protocol`` per connection;
+no third-party frameworks) that frames requests and routes them:
 
 * ``POST /predict``   → :func:`repro.serve.service.handle_predict`
 * ``POST /recommend`` → :func:`repro.serve.service.handle_recommend`
@@ -20,28 +20,50 @@ client-supplied ``X-Repro-Request-Id``), echoed on the response and
 stamped on the ``serve.request`` span.  A ``/predict`` or ``/recommend``
 body is first looked up, before JSON decoding, in
 :data:`repro.perf.response_cache` under (path, SHA-256 of the raw
-body): a hit is answered on the event loop with the stored bytes.  A
-miss runs its handler on a small thread pool (``run_in_executor``)
-under ``contextvars.copy_context()``, so a cold solve never stalls
-framing, and spans the solver opens in a pool thread parent to the
-dispatching request's span instead of orphaning — that is what makes
-the ``/debug/requests`` trace trees complete.  Only a 200 whose every
-solve ran on the exact rung fills the memo, and while a flow fault is
-armed the memo is neither read nor filled.
+body): a hit is answered with the stored bytes inside
+``data_received`` — one span, one outcome counter, one record and one
+``transport.write``, and no task, future or timer.  A miss runs its
+handler on a small thread pool (``run_in_executor``) under
+``contextvars.copy_context()``, so a cold solve never stalls framing,
+and spans the solver opens in a pool thread parent to the dispatching
+request's span instead of orphaning — that is what makes the
+``/debug/requests`` trace trees complete.  Only a 200 whose every solve
+ran on the exact rung fills the memo, and while a flow fault is armed
+the memo is neither read nor filled.
 
 Every response path — including malformed-framing rejections — is
 recorded exactly once on the server's
 :class:`~repro.serve.stats.ServiceTelemetry`, so windowed error rates
 have trustworthy denominators.
 
-Connections are keep-alive by default (HTTP/1.1), closed on
-``Connection: close``, malformed framing, or a read (the head, or the
-body) that takes longer than ``read_timeout_s``.  A request with a
-``Transfer-Encoding`` gets 501 and one with a repeated or non-decimal
-``Content-Length`` gets 400; bodies are capped at
-:data:`MAX_BODY_BYTES`.  :meth:`PredictionServer.stop` stops accepting,
-closes connections waiting for a request head and returns once the
-in-flight responses are written.
+Connections (:class:`_Connection`):
+
+* **Framing.**  Received bytes are buffered and cut into requests at
+  the blank line that ends a head and the ``Content-Length`` it
+  announces.  A request with a ``Transfer-Encoding`` gets 501, one with
+  a repeated or non-decimal ``Content-Length`` 400, a body over
+  :data:`MAX_BODY_BYTES` 413 and a head over 16 KiB 400, each followed
+  by a close; a head with no end within 64 KiB closes the connection
+  unanswered.  Connections are keep-alive (HTTP/1.1) until
+  ``Connection: close``.
+* **Ordering.**  One answer at a time, in the order the requests
+  arrived: while a miss is on the pool, reading pauses and later bytes
+  stay buffered.
+* **Deadline.**  A connection that waits longer than ``read_timeout_s``
+  for a head, or for the rest of a body, is aborted with no response
+  and no record.  One timer per connection enforces it: each wait
+  notes when it began, and a timer that fires early re-arms for the
+  time left, so a steady keep-alive stream arms no timer per request
+  and is never cut.
+* **Backpressure.**  From ``pause_writing`` to ``resume_writing`` the
+  connection frames nothing and pauses reading, so the bytes it
+  buffers stay bounded whatever the client sends or refuses to read.
+* **Stopping.**  :meth:`PredictionServer.stop` stops accepting, closes
+  every connection waiting for a head (a partial head included), lets
+  in-flight answers and bodies still being read finish with
+  ``Connection: close``, and returns once those answers are written.
+  A head that completes after ``stop()`` began is neither routed nor
+  recorded.
 """
 
 from __future__ import annotations
@@ -71,6 +93,9 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Largest accepted request head (request line + headers).
 _MAX_HEAD_BYTES = 1 << 14
+
+#: How far a head's end is looked for before the connection is closed.
+_MAX_FRAME_BYTES = 1 << 16
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
@@ -110,8 +135,7 @@ class PredictionServer:
         self._server: asyncio.base_events.Server | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._started_at: float | None = None
-        self._connections: set[asyncio.Task] = set()
-        self._idle: set[asyncio.StreamWriter] = set()  # awaiting a head
+        self._connections: set[_Connection] = set()
         self._closing = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -123,8 +147,8 @@ class PredictionServer:
             max_workers=self._workers,
             thread_name_prefix="repro-serve-worker")
         self._closing = False
-        self._server = await asyncio.start_server(
-            self._accept, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
         return self
@@ -140,9 +164,9 @@ class PredictionServer:
             return
         self._server.close()
         self._closing = True
-        for writer in list(self._idle):
-            writer.close()
-        await asyncio.gather(*self._connections, return_exceptions=True)
+        for conn in list(self._connections):
+            conn.close_if_idle()
+        await asyncio.gather(*(conn.finished for conn in self._connections))
         await self._server.wait_closed()
         self._server = None
         if self._executor is not None:
@@ -168,112 +192,18 @@ class PredictionServer:
 
     # -- request handling -----------------------------------------------------
 
-    def _accept(self, reader: asyncio.StreamReader,
-                writer: asyncio.StreamWriter) -> None:
-        """Start one connection's task, tracked so :meth:`stop` can drain it."""
-        if self._closing:  # accepted before stop(), connected after it
-            writer.close()
-            return
-        task = asyncio.get_running_loop().create_task(
-            self._serve_connection(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
+    def _route(self, method: str, path: str, raw: bytes, request_id: str):
+        """Dispatch one framed request.
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        try:
-            while not self._closing:
-                if not await self._serve_one(reader, writer):
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    async def _read(self, read, writer: asyncio.StreamWriter) -> bytes:
-        """Await ``read`` under a ``read_timeout_s`` deadline.
-
-        The deadline is a loop timer that aborts the transport, not a
-        ``wait_for`` task: the aborted read raises the
-        ``IncompleteReadError`` / ``ConnectionError`` that
-        :meth:`_serve_connection` already treats as a closed connection.
+        Returns ``(status, payload, trace)``, or for a memo miss a
+        coroutine that solves it on the pool and returns the same.
         """
-        deadline = asyncio.get_running_loop().call_later(
-            self.read_timeout_s, writer.transport.abort)
-        try:
-            return await read
-        finally:
-            deadline.cancel()
-
-    async def _serve_one(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> bool:
-        """Frame and answer one request; returns keep-alive?"""
-        self._idle.add(writer)
-        try:
-            head = await self._read(reader.readuntil(b"\r\n\r\n"), writer)
-        finally:
-            self._idle.discard(writer)
-        if self._closing:  # stop() closed the socket under a buffered head
-            return False
-        t0 = time.perf_counter()
-        method = path = "?"
-        headers: dict[str, str] = {}
-        rejected: _Rejected | None = None
-        try:
-            if len(head) > _MAX_HEAD_BYTES:
-                raise _Rejected(400, "request head too large")
-            method, path, headers = _parse_head(head)
-            length = _content_length(headers)
-        except _Rejected as exc:
-            rejected = exc
-        request_id = headers.get("x-repro-request-id", "")
-        if not _REQUEST_ID_RE.match(request_id):
-            request_id = new_request_id()
-        if rejected is not None:
-            await self._finish(
-                writer, rejected.status, {"error": str(rejected)},
-                close=True, t0=t0, method=method, path=path,
-                request_id=request_id)
-            return False
-        raw = b""
-        if length:
-            raw = await self._read(reader.readexactly(length), writer)
-
-        status, payload, trace = await self._route(
-            method, path, raw, request_id)
-        close = self._closing \
-            or headers.get("connection", "").lower() == "close"
-        await self._finish(writer, status, payload, close=close, t0=t0,
-                           method=method, path=path, request_id=request_id,
-                           trace=trace)
-        return not close
-
-    async def _finish(self, writer: asyncio.StreamWriter, status: int,
-                      payload, *, close: bool, t0: float, method: str,
-                      path: str, request_id: str,
-                      trace: dict | None = None) -> None:
-        """Record one finished request (exactly once) and write the response."""
-        self.stats.record(
-            method=method, path=path.split("?", 1)[0], status=status,
-            duration_s=time.perf_counter() - t0, request_id=request_id,
-            trace=trace)
-        await _respond(writer, status, payload, close=close,
-                       request_id=request_id)
-
-    async def _route(self, method: str, path: str, raw: bytes,
-                     request_id: str) -> tuple[int, object, dict | None]:
-        """Dispatch one framed request; returns (status, payload, trace)."""
         path, _, query = path.partition("?")
         path = path.rstrip("/") or "/"
         if path in ("/predict", "/recommend"):
             if method != "POST":
                 return 405, {"error": f"{path} wants POST, got {method}"}, None
-            return await self._handle_post(path, raw, request_id)
+            return self._handle_post(path, raw, request_id)
         if path in ("/metrics", "/healthz", "/events", "/debug/requests",
                     "/dashboard"):
             if method != "GET":
@@ -283,59 +213,61 @@ class PredictionServer:
             "error": f"unknown path {path!r}",
             "endpoints": _ENDPOINTS}, None
 
-    async def _handle_post(self, path: str, raw: bytes, request_id: str
-                           ) -> tuple[int, object, dict | None]:
-        """Answer one POST from the response memo or a handler on the pool.
+    def _handle_post(self, path: str, raw: bytes, request_id: str):
+        """Answer one POST from the response memo, or hand it to the pool.
 
-        The ``serve.request`` span carries the ``request_id`` label.  A
-        memo hit is answered inside it on the loop, bumping the outcome
-        counter the handler would; a miss runs the handler on the pool
-        inside a *copy* of this context, so solver spans nest under the
-        request span and structured log events emitted below pick the
-        id up.
+        The memo is looked up once, before JSON decoding.  A hit is
+        answered inside the ``serve.request`` span (which carries the
+        ``request_id`` label), bumping the outcome counter the handler
+        would; an undecodable body is a 400 here; anything else is
+        returned as the coroutine :meth:`_solve`.
         """
         if path == "/predict":
             handler, counter = handle_predict, names.SERVE_PREDICTIONS
         else:
             handler, counter = handle_recommend, names.SERVE_RECOMMENDATIONS
-        key = (path, hashlib.sha256(raw).digest())
-        memo = not solver_fault_armed(FLOW_SITE)
-        answer = response_cache.get(key) if memo else MISS
-        if answer is MISS:
-            try:
-                body = json.loads(raw.decode("utf-8")) if raw else None
-            # json.loads raises RecursionError on over-deep nesting.
-            except (json.JSONDecodeError, UnicodeDecodeError,
-                    RecursionError) as exc:
-                return 400, {"error": f"request body is not JSON: {exc}"}, None
-            if body is None:
-                return 400, {"error": "request body must be a JSON object"}, None
+        key = None
+        if not solver_fault_armed(FLOW_SITE):
+            key = (path, hashlib.sha256(raw).digest())
+            answer = response_cache.get(key)
+            if answer is not MISS:
+                with obs.span("serve.request", request_id=request_id,
+                              path=path) as req_span:
+                    obs.counter(counter)
+                return 200, answer, _detached(req_span)
+        try:
+            body = json.loads(raw.decode("utf-8")) if raw else None
+        # json.loads raises RecursionError on over-deep nesting.
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
+            return 400, {"error": f"request body is not JSON: {exc}"}, None
+        if body is None:
+            return 400, {"error": "request body must be a JSON object"}, None
+        return self._solve(path, handler, body, request_id, key)
+
+    async def _solve(self, path: str, handler, body, request_id: str,
+                     key: tuple | None) -> tuple[int, object, dict | None]:
+        """Run a memo miss's handler on the pool; memoize an exact 200.
+
+        The handler runs inside a *copy* of this context, so solver spans
+        nest under the request span and structured log events emitted
+        below pick the id up.  ``key`` is ``None`` while a flow fault is
+        armed: the memo is then neither read nor filled.
+        """
         with obs.span("serve.request", request_id=request_id,
                       path=path) as req_span:
-            if answer is not MISS:
-                obs.counter(counter)
-                status = 200
-            else:
-                loop = asyncio.get_running_loop()
-                ctx = contextvars.copy_context()
-                status, payload = await loop.run_in_executor(
-                    self._executor, ctx.run, handler, body)
-        trace = None
-        if isinstance(req_span, Span):
-            # Move the finished tree out of the session tracer (bounding
-            # its memory over a long-running service) and into the
-            # request ring, where /debug/requests can find it by id.
-            req_span.tracer.detach_root(req_span)
-            trace = req_span.to_dict()
-        if answer is MISS:
-            answer = payload
-            # Checked again: a fault armed mid-solve can fail attempt 0, and
-            # the exact-rung retry at heavier damping differs in low bits.
-            if status == 200 and memo and exact_answer(payload) \
-                    and not solver_fault_armed(FLOW_SITE):
-                answer = json.dumps(payload, sort_keys=True).encode()
-                response_cache.put(key, answer)
-        return status, answer, trace
+            loop = asyncio.get_running_loop()
+            ctx = contextvars.copy_context()
+            status, payload = await loop.run_in_executor(
+                self._executor, ctx.run, handler, body)
+        trace = _detached(req_span)
+        # Checked again: a fault armed mid-solve can fail attempt 0, and
+        # the exact-rung retry at heavier damping differs in low bits.
+        if status == 200 and key is not None and exact_answer(payload) \
+                and not solver_fault_armed(FLOW_SITE):
+            payload = json.dumps(payload, sort_keys=True).encode()
+            response_cache.put(key, payload)
+        return status, payload, trace
 
     def _handle_get(self, path: str, query: str) -> tuple[int, object]:
         if path == "/metrics":
@@ -363,6 +295,214 @@ class PredictionServer:
         assert path == "/dashboard"
         from repro.serve.dashboard import render_dashboard
         return 200, render_dashboard(self)
+
+
+def _detached(span) -> dict | None:
+    """A finished ``serve.request`` span as the request ring stores it.
+
+    Moves the tree out of the session tracer (bounding its memory over
+    a long-running service) and into the request ring, where
+    ``/debug/requests`` can find it by id.
+    """
+    if not isinstance(span, Span):
+        return None
+    span.tracer.detach_root(span)
+    return span.to_dict()
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames, answers and times out its requests.
+
+    A framed request is ``(t0, method, path, request_id, close,
+    length)``: ``t0`` is when its head was complete, ``close`` whether
+    the client asked for ``Connection: close``, ``length`` its body's.
+    """
+
+    def __init__(self, server: PredictionServer) -> None:
+        self._server = server
+        self._loop = asyncio.get_running_loop()
+        self._transport: asyncio.Transport | None = None
+        self._buffer = bytearray()
+        self._request: tuple | None = None   # head framed, body pending
+        self._pending: asyncio.Task | None = None   # a miss on the pool
+        self._paused = False                 # the write buffer is full
+        self._eof = False
+        self._closed = False
+        self._wait_since: float | None = None  # start of the wait for bytes
+        self._timer: asyncio.TimerHandle | None = None
+        #: Done once the connection is closed and nothing is in flight.
+        self.finished = self._loop.create_future()
+
+    # -- transport callbacks --------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        if self._server._closing:  # accepted before stop(), made after it
+            transport.close()
+            return
+        self._server._connections.add(self)
+        self._frame()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._frame()
+
+    def eof_received(self) -> bool:
+        # Kept open: an answer in flight is still written, then closed.
+        self._eof = True
+        if self._pending is None and not self._paused:
+            self._frame()
+        return True
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if self._pending is None:
+            self._transport.resume_reading()
+            self._frame()
+
+    def connection_lost(self, exc) -> None:
+        self._closed = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if self._pending is None:
+            self._end()
+
+    def close_if_idle(self) -> None:
+        """Close the connection if it is waiting for a head (``stop()``)."""
+        if self._pending is None and self._request is None:
+            self._transport.close()
+
+    def _end(self) -> None:
+        self._server._connections.discard(self)
+        self.finished.set_result(None)
+
+    # -- framing --------------------------------------------------------------
+
+    def _frame(self) -> None:
+        """Answer the buffered requests in order until one must wait.
+
+        Frames nothing while a miss is on the pool, while writing is
+        paused or once the connection is closing.  When the next head or
+        body is not all here, a wait begins (or the connection closes,
+        after the client's EOF).
+        """
+        buf = self._buffer
+        while self._pending is None and not self._paused:
+            if self._transport.is_closing():
+                return
+            if self._request is None:
+                end = buf.find(b"\r\n\r\n")
+                if end < 0 and len(buf) <= _MAX_FRAME_BYTES:
+                    break
+                if end < 0 or end > _MAX_FRAME_BYTES \
+                        or self._server._closing:
+                    # No head within the limit, or stop() began: the
+                    # head is neither routed nor recorded.
+                    self._transport.close()
+                    return
+                self._wait_since = None
+                self._request = self._parse(bytes(buf[:end + 4]))
+                del buf[:end + 4]
+                if self._request is None:    # refused: answered, closing
+                    return
+            length = self._request[5]
+            if len(buf) < length:
+                break
+            request, self._request = self._request, None
+            raw = bytes(buf[:length])
+            del buf[:length]
+            self._wait_since = None
+            self._answer(request, raw)
+        else:
+            return
+        if self._eof:
+            self._transport.close()
+        elif self._wait_since is None:
+            self._wait_since = self._loop.time()
+            if self._timer is None:
+                self._timer = self._loop.call_at(
+                    self._wait_since + self._server.read_timeout_s,
+                    self._expire)
+
+    def _expire(self) -> None:
+        """The read deadline: abort a wait that ran out, else re-arm."""
+        self._timer = None
+        if self._wait_since is None or self._transport.is_closing():
+            return          # answering: the next wait arms a timer again
+        due = self._wait_since + self._server.read_timeout_s
+        if self._loop.time() < due:
+            self._timer = self._loop.call_at(due, self._expire)
+        else:
+            self._transport.abort()
+
+    def _parse(self, head: bytes) -> tuple | None:
+        """Frame one head; a refused one is answered here (``None``)."""
+        t0 = time.perf_counter()
+        method = path = "?"
+        headers: dict[str, str] = {}
+        rejected: _Rejected | None = None
+        try:
+            if len(head) > _MAX_HEAD_BYTES:
+                raise _Rejected(400, "request head too large")
+            method, path, headers = _parse_head(head)
+            length = _content_length(headers)
+        except _Rejected as exc:
+            rejected = exc
+        request_id = headers.get("x-repro-request-id", "")
+        if not _REQUEST_ID_RE.match(request_id):
+            request_id = new_request_id()
+        if rejected is not None:
+            self._respond((t0, method, path, request_id, True, 0),
+                          rejected.status, {"error": str(rejected)})
+            return None
+        close = headers.get("connection", "").lower() == "close"
+        return t0, method, path, request_id, close, length
+
+    # -- answering ------------------------------------------------------------
+
+    def _answer(self, request: tuple, raw: bytes) -> None:
+        """Answer now, or hand a memo miss to the pool and hold the rest."""
+        _, method, path, request_id, _, _ = request
+        answer = self._server._route(method, path, raw, request_id)
+        if isinstance(answer, tuple):
+            self._respond(request, *answer)
+            return
+        self._transport.pause_reading()
+        self._pending = self._loop.create_task(
+            self._answer_miss(request, answer))
+
+    async def _answer_miss(self, request: tuple, solving) -> None:
+        try:
+            self._respond(request, *await solving)
+        except BaseException:
+            self._transport.abort()
+            raise
+        finally:
+            self._pending = None
+            if self._closed:
+                self._end()
+        if not self._closed and not self._paused:
+            self._transport.resume_reading()
+            self._frame()
+
+    def _respond(self, request: tuple, status: int, payload,
+                 trace: dict | None = None) -> None:
+        """Record one finished request (exactly once) and write its answer."""
+        t0, method, path, request_id, close, _ = request
+        close = close or self._server._closing
+        self._server.stats.record(
+            method=method, path=path.split("?", 1)[0], status=status,
+            duration_s=time.perf_counter() - t0, request_id=request_id,
+            trace=trace)
+        self._transport.write(_response(status, payload, close=close,
+                                        request_id=request_id))
+        if close:
+            self._transport.close()
 
 
 class _Rejected(ValueError):
@@ -420,9 +560,9 @@ def _content_length(headers: dict[str, str]) -> int:
     return int(digits)
 
 
-async def _respond(writer: asyncio.StreamWriter, status: int, payload, *,
-                   close: bool, request_id: str | None = None) -> None:
-    """Serialise and write one response.
+def _response(status: int, payload, *, close: bool,
+              request_id: str | None = None) -> bytes:
+    """Serialise one response.
 
     ``payload`` is a dict (JSON), already-encoded JSON bytes (a memoized
     answer, written unchanged) or a pre-rendered HTML string (the
@@ -445,8 +585,7 @@ async def _respond(writer: asyncio.StreamWriter, status: int, payload, *,
             f"{rid_header}"
             f"Connection: {'close' if close else 'keep-alive'}\r\n"
             "\r\n")
-    writer.write(head.encode("latin-1") + body)
-    await writer.drain()
+    return head.encode("latin-1") + body
 
 
 __all__ = ["PredictionServer", "MAX_BODY_BYTES", "new_request_id"]

@@ -114,6 +114,10 @@ class ServiceTelemetry:
                               (self.errors_fast, self.errors_slow))
         self.request_log = RequestLog()
         self._eval_epoch: int | None = None
+        # The session instruments, bound on the first record of a session.
+        self._session = None
+        self._requests = self._seconds = None
+        self._by_class: dict[int, object] = {}
 
     # -- ingest ---------------------------------------------------------------
 
@@ -132,11 +136,17 @@ class ServiceTelemetry:
 
         session = obs.session()
         if session is not None:
-            obs.counter(names.SERVE_REQUESTS)
-            obs.counter(names.SERVE_REQUESTS,
+            if session is not self._session:
+                self._bind(session)
+            by_class = self._by_class.get(status // 100)
+            if by_class is None:
+                by_class = self._by_class[status // 100] = \
+                    session.metrics.counter(
+                        names.SERVE_REQUESTS,
                         status_class=f"{status // 100}xx")
-            session.metrics.timer(
-                names.SERVE_REQUEST_SECONDS).observe(duration_s)
+            self._requests.inc()
+            by_class.inc()
+            self._seconds.observe(duration_s)
 
         if error:
             self.errors_fast.inc(1.0, now=now)
@@ -167,6 +177,17 @@ class ServiceTelemetry:
         if epoch != self._eval_epoch:
             self._eval_epoch = epoch
             self.slo.evaluate(now)
+
+    def _bind(self, session) -> None:
+        """Look the session's request instruments up once, not per record.
+
+        The ``status_class`` counters are bound on their class's first
+        request, so the registry holds only the classes seen, as before.
+        """
+        self._session = session
+        self._requests = session.metrics.counter(names.SERVE_REQUESTS)
+        self._seconds = session.metrics.timer(names.SERVE_REQUEST_SECONDS)
+        self._by_class = {}
 
     # -- read side ------------------------------------------------------------
 

@@ -173,6 +173,13 @@ class TestWindowEdges:
         assert np.all(np.floor_divide(np.nextafter(edges, -np.inf), window)
                       < i)
 
+    def test_edges_are_memoized_read_only(self):
+        edges = _window_edges(5e-6, 1250)
+        assert _window_edges(5e-6, 1250) is edges
+        with pytest.raises(ValueError):
+            edges[0] = 0.0
+        assert _window_edges(5e-6, 1249) is not edges
+
     @pytest.mark.parametrize("n_windows", N_WINDOWS)
     @pytest.mark.parametrize("window", WINDOWS)
     def test_binning_matches_floor_divide(self, window, n_windows):

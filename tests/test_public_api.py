@@ -97,6 +97,19 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_http_stack(self):
+        # MetricsServer imports http.server when it starts, so a process
+        # that only imports the package pays for none of its imports.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print(sorted(k for k in sys.modules if k"
+             " in ('http.server', 'http.client', 'email', 'ssl')))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 EXAMPLES = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "examples").glob(

@@ -914,39 +914,54 @@ class TestStop:
 
     def test_a_head_buffered_before_stop_is_not_answered(self,
                                                           monkeypatch):
-        # The head is in the reader's buffer when stop() closes the idle
-        # connection, but its task has not resumed: the request must be
-        # neither routed, answered nor recorded.
-        head_read, release = threading.Event(), asyncio.Event()
-        real_read = PredictionServer._read
-
-        async def held_read(server, read, writer):
-            data = await real_read(server, read, writer)
-            head_read.set()
-            await release.wait()
-            return data
-
-        monkeypatch.setattr(PredictionServer, "_read", held_read)
+        # Two requests in one write: the first is a miss held on the
+        # pool, so the second head waits in the connection's buffer when
+        # stop() begins.  The first is answered, with Connection: close;
+        # the second is neither routed, answered nor recorded.
+        started, release = threading.Event(), threading.Event()
         handled = []
-        monkeypatch.setattr(http_mod, "handle_predict", handled.append)
+
+        def held_predict(body):
+            handled.append(body)
+            started.set()
+            release.wait(10)
+            return handle_predict(body)
+
+        monkeypatch.setattr(http_mod, "handle_predict", held_predict)
+        first = {**PREDICT_BODY, "n_active": 2}
+
+        def request(body) -> bytes:
+            raw = json.dumps(body).encode()
+            return (f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {len(raw)}\r\n\r\n").encode() + raw
 
         async def main():
             server = await PredictionServer(port=0, workers=2).start()
-            reader, writer = await self.send_predict(server)
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
             try:
-                assert await asyncio.to_thread(head_read.wait, 10)
+                writer.write(request(first) + request(PREDICT_BODY))
+                await writer.drain()
+                assert await asyncio.to_thread(started.wait, 10)
                 stopping = asyncio.ensure_future(server.stop())
                 await asyncio.sleep(0)         # stop() closes idle sockets
                 release.set()
                 await asyncio.wait_for(stopping, 5)
-                return await asyncio.wait_for(reader.read(), 2), server
+                status, headers, raw = await asyncio.wait_for(
+                    _read_response(reader), timeout=2)
+                rest = await asyncio.wait_for(reader.read(), 2)
+                return status, headers, raw, rest, server
             finally:
+                release.set()
                 await close(writer)
 
-        rest, server = asyncio.run(main())
+        status, headers, raw, rest, server = asyncio.run(main())
+        assert status == 200 and headers["connection"] == "close"
+        assert json.loads(raw) == handle_predict(dict(first))[1]
         assert rest == b""
-        assert handled == []
-        assert server.stats.request_log.total == 0
+        assert handled == [first]
+        assert [e["status"] for e in server.stats.request_log.recent()] \
+            == [200]
 
     def test_sigint_drains_the_cli_server(self):
         # `repro serve` stops through stop(): an idle keep-alive client

@@ -429,6 +429,145 @@ class TestPipelining:
         assert len(pool_submits) == 2 + 1      # only the miss was pooled
 
 
+class FakeTransport(asyncio.Transport):
+    """Collects what a connection writes; can fill its write buffer."""
+
+    def __init__(self, protocol, pause_after_write: bool = False) -> None:
+        super().__init__()
+        self.protocol = protocol
+        self.pause_after_write = pause_after_write
+        self.writes: list[bytes] = []
+        self.reading = True
+        self.closing = False
+
+    def write(self, data) -> None:
+        self.writes.append(bytes(data))
+        if self.pause_after_write:
+            self.protocol.pause_writing()
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def close(self) -> None:
+        self.closing = True
+
+    abort = close
+
+
+class TestConnection:
+    """The per-connection protocol, driven without a socket."""
+
+    RIDS = [f"fake-{i}" for i in range(4)]
+
+    def written(self, pause_after_write: bool):
+        """Feed four hits in one chunk; yield the writes after each step."""
+        serve(REQUESTS)                        # both bodies memoized
+        raw = b"".join(request_bytes(path, body, rid) for (path, body), rid
+                       in zip(REQUESTS * 2, self.RIDS))
+
+        async def main():
+            server = PredictionServer(port=0)  # hits need no pool
+            conn = http_mod._Connection(server)
+            transport = FakeTransport(conn, pause_after_write)
+            conn.connection_made(transport)
+            steps = []
+            if not pause_after_write:
+                conn.pause_writing()
+            conn.data_received(raw)
+            steps.append((len(transport.writes), transport.reading))
+            while len(transport.writes) < 4:
+                conn.resume_writing()
+                steps.append((len(transport.writes), transport.reading))
+            transport.pause_after_write = False
+            conn.resume_writing()
+            steps.append((len(transport.writes), transport.reading))
+            conn.connection_lost(None)
+            return steps, transport.writes, server.stats.request_log.total
+
+        return asyncio.run(main())
+
+    def check_answers(self, writes):
+        assert [re.search(rb"X-Repro-Request-Id: (\S+)", w).group(1)
+                for w in writes] == [rid.encode() for rid in self.RIDS]
+        assert [w.split(b"\r\n\r\n", 1)[1] for w in writes] \
+            == [pure_answer(path, body) for path, body in REQUESTS * 2]
+
+    def test_paused_writing_holds_the_buffered_requests(self):
+        steps, writes, recorded = self.written(pause_after_write=False)
+        # Paused before the bytes came: nothing framed, reading paused;
+        # resumed, all four are answered in order and reading resumes.
+        assert steps == [(0, False), (4, True), (4, True)]
+        self.check_answers(writes)
+        assert recorded == 4
+
+    def test_a_full_write_buffer_stops_framing_after_that_answer(self):
+        steps, writes, recorded = self.written(pause_after_write=True)
+        assert steps == [(1, False), (2, False), (3, False), (4, False),
+                         (4, True)]
+        self.check_answers(writes)
+        assert recorded == 4
+
+    def test_keep_alive_hits_arm_at_most_two_timers(self):
+        serve(REQUESTS)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            armed = []
+            call_at = loop.call_at
+            loop.call_at = lambda when, callback, *args, **kwargs: (
+                armed.append(callback)
+                or call_at(when, callback, *args, **kwargs))
+            try:
+                async with PredictionServer(port=0, workers=2) as server:
+                    async def scenario(post):
+                        return [await post(*REQUESTS[i % 2])
+                                for i in range(200)]
+                    answers = await _connected(server, scenario)
+            finally:
+                del loop.call_at
+            return answers, armed
+
+        answers, armed = asyncio.run(main())
+        assert [status for status, _ in answers] == [200] * 200
+        assert len(armed) <= 2
+
+    def test_each_session_counts_its_own_requests(self):
+        serve(REQUESTS)
+
+        async def scenario(server, post):
+            first = obs.enable(fresh=True)
+            for _ in range(2):
+                await post(*REQUESTS[0])
+            second = obs.enable(fresh=True)
+            for _ in range(3):
+                await post(*REQUESTS[1])
+            await post("/nope", PREDICT_BODY)
+            obs.disable()
+            for _ in range(4):
+                await post(*REQUESTS[0])
+            return first, second
+
+        first, second = run(scenario)
+        total = _names.SERVE_REQUESTS
+        by_class = total + "{status_class=%s}"
+        for tel, counts in ((first, {"2xx": 2}),
+                            (second, {"2xx": 3, "4xx": 1})):
+            snap = tel.metrics.snapshot()
+            n = sum(counts.values())
+            assert snap[total]["value"] == n
+            assert snap[_names.SERVE_REQUEST_SECONDS]["count"] == n
+            assert {key: snap[by_class % key]["value"] for key in counts} \
+                == counts
+            assert by_class % "5xx" not in snap
+        assert by_class % "4xx" not in first.metrics.snapshot()
+
+
 class TestResponseMemo:
     def test_clear_caches_and_disabling_empty_the_memo(self):
         serve(REQUESTS)
