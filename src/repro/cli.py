@@ -70,8 +70,10 @@ Telemetry flags (see docs/OBSERVABILITY.md)
 ``--log PATH``
     Write the structured JSONL event log of the run.
 ``--serve-metrics PORT``
-    Serve live ``/metrics``, ``/healthz`` and ``/events`` JSON endpoints
-    on 127.0.0.1:PORT while the run executes (0 picks a free port).
+    Run ``repro serve``'s server on 127.0.0.1:PORT while the experiments
+    of ``repro <experiment>``, ``repro all`` or ``repro report`` run (0
+    picks a free port): ``/metrics``, ``/healthz``, ``/events`` and the
+    other routes of docs/SERVING.md, read from the run's telemetry.
 ``--version``
     Print the package version and exit.
 """
@@ -79,6 +81,7 @@ Telemetry flags (see docs/OBSERVABILITY.md)
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -128,8 +131,6 @@ def _cmd_calibrate(_args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.experiments.report import write_experiments_md
-
     if args.from_run is not None:
         if not args.html:
             print("usage: repro report --from-run SPEC --html OUT.html",
@@ -152,6 +153,15 @@ def _cmd_report(args) -> int:
     if profiler is not None and args.jobs > 1:
         print("repro report: --profile profiles the coordinating process "
               "only; use --jobs 1 for full attribution", file=sys.stderr)
+    if args.serve_metrics is not None:
+        obs.enable(fresh=True)
+    with _serving_metrics(args.serve_metrics):
+        return _run_report(args, profiler)
+
+
+def _run_report(args, profiler) -> int:
+    """``repro report``'s two branches that run experiments."""
+    from repro.experiments.report import write_experiments_md
 
     if args.only:
         from repro.experiments import run_experiments
@@ -315,21 +325,12 @@ def _cmd_experiment(args) -> int:
                             or args.serve_metrics is not None)
     if telemetry_wanted:
         obs.enable(fresh=True)
-    server = None
-    if args.serve_metrics is not None:
-        server = obs.MetricsServer(port=args.serve_metrics)
-        server.start()
-        print(f"live metrics at {server.url}/metrics "
-              f"(health: {server.url}/healthz)")
     names = _experiment_names(args.experiment)
     failures = 0
-    try:
+    with _serving_metrics(args.serve_metrics):
         results = run_experiments(names, fast=args.fast, rng=args.seed,
                                   jobs=args.jobs, timeout_s=args.timeout,
                                   retries=args.retries)
-    finally:
-        if server is not None:
-            server.stop()
     for result in results:
         print(result.render())
         print()
@@ -348,6 +349,41 @@ def _cmd_experiment(args) -> int:
     if telemetry_wanted:
         _write_telemetry(args, obs.session())
     return 1 if failures else 0
+
+
+@contextlib.contextmanager
+def _serving_metrics(port: int | None):
+    """Run ``repro serve``'s server on 127.0.0.1:PORT for the block.
+
+    The server runs on an event loop of its own thread and reads the
+    active telemetry session, so every route of ``repro serve`` answers
+    during the run.  On exit, and when ``start()`` fails (``OSError`` on
+    a taken port), the server drains through ``stop()``, the loop stops
+    and closes and the thread is joined.  ``port=None`` serves nothing.
+    """
+    if port is None:
+        yield
+        return
+    import asyncio
+    import threading
+
+    from repro.serve import PredictionServer
+
+    server = PredictionServer(port=port)
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever,
+                              name="repro-serve-metrics", daemon=True)
+    thread.start()
+    try:
+        asyncio.run_coroutine_threadsafe(server.start(), loop).result()
+        print(f"live metrics at {server.url}/metrics "
+              f"(health: {server.url}/healthz)", flush=True)
+        yield
+    finally:
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result()
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join()
+        loop.close()
 
 
 def _profiled_run(names: list[str], fast: bool, rng):
@@ -611,9 +647,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the structured JSONL event log")
     parser.add_argument("--serve-metrics", type=int, default=None,
                         metavar="PORT", dest="serve_metrics",
-                        help="serve live /metrics and /healthz JSON on "
-                             "127.0.0.1:PORT during the run (0 = any free "
-                             "port)")
+                        help="run repro serve's server (/metrics, "
+                             "/healthz, /events, ...) on 127.0.0.1:PORT "
+                             "during the run (0 = any free port)")
     parser.add_argument("--top", type=int, default=15, metavar="N",
                         help="rows in the 'repro profile'/'repro hotspots' "
                              "hot-path table (default 15)")

@@ -1,17 +1,16 @@
 """Concurrency-safety rules (``CONC``, tier 2).
 
-The ROADMAP's service arc (``repro serve``, sharded sweeps, the metrics
-endpoint) puts shared module state under threads and process pools.
-These rules use the cross-module symbol index to see the hazards a
-single file cannot show:
+The ROADMAP's service arc (``repro serve``, sharded sweeps) puts shared
+module state under threads and process pools.  These rules use the
+cross-module symbol index to see the hazards a single file cannot show:
 
 * ``CONC001`` — a function *reachable from a thread entry point*
   (a ``threading.Thread(target=...)`` anywhere in the project, or a
-  ``do_*`` method of a ``BaseHTTPRequestHandler`` subclass such as the
-  ``MetricsServer`` handler) mutates a module global or a module-level
-  registry singleton without holding a lock.  Reachability follows the
-  summarised call graph across modules, so the mutation and the thread
-  construction can live three files apart.
+  ``do_*`` method of a ``BaseHTTPRequestHandler`` subclass) mutates a
+  module global or a module-level registry singleton without holding a
+  lock.  Reachability follows the summarised call graph across
+  modules, so the mutation and the thread construction can live three
+  files apart.
 * ``CONC002`` — a process-pool submission (``pool.submit`` with
   ``ProcessPoolExecutor`` imported, or ``run_isolated``) captures
   something that cannot cross the process boundary: a lambda or a

@@ -40,7 +40,6 @@ from repro.obs.drift import (
     DriftThresholds,
     compare_runs,
 )
-from repro.obs.export import MetricsServer
 from repro.obs.htmlreport import render_html, write_html
 from repro.obs.log import LOG_SCHEMA, StructuredLog, check_event_name, parse_jsonl
 from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest, code_version, new_run_id
@@ -93,7 +92,6 @@ __all__ = [
     "render_html", "write_html",
     "HotSpot", "Profiler", "ProfileReport", "parse_collapsed",
     "StructuredLog", "LOG_SCHEMA", "check_event_name", "parse_jsonl",
-    "MetricsServer",
     "RollingCounter", "RollingHistogram", "WINDOW_SCHEMA",
     "SLObjective", "SLOTracker", "FAST_BURN", "SLO_SCHEMA",
     "TelemetrySession", "NOOP_SPAN",

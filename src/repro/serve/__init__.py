@@ -5,9 +5,9 @@ prediction kernel (:mod:`repro.core.predict`): ``POST /predict``
 answers one (machine, workload, allocation) cell with ``C(n)``,
 ``omega(n)`` and per-station utilisations; ``POST /recommend``
 enumerates allocations and returns the minimum-slowdown placement.
-``GET /metrics`` and ``GET /healthz`` reuse the telemetry exporter's
-payload builders — extended with the rolling-window block and the SLO
-burn-rate state from the per-server
+``GET /metrics`` and ``GET /healthz`` serve the telemetry session's
+snapshot and health — extended with the rolling-window block and the
+SLO burn-rate state from the per-server
 :class:`~repro.serve.stats.ServiceTelemetry` — and every solve goes
 through the shared content-addressed caches in :mod:`repro.perf`: a
 repeated body is answered on the event loop from the memo of encoded

@@ -5,9 +5,8 @@ no third-party frameworks) that frames requests and routes them:
 
 * ``POST /predict``   → :func:`repro.serve.service.handle_predict`
 * ``POST /recommend`` → :func:`repro.serve.service.handle_recommend`
-* ``GET /metrics``    → the wrapped telemetry snapshot plus the
-  rolling-window block (:func:`repro.obs.export.metrics_payload` — the
-  same read-side contract the ``--serve-metrics`` exporter serves)
+* ``GET /metrics``    → the wrapped telemetry snapshot (the schema
+  manifests persist) plus the rolling-window block
 * ``GET /healthz``    → liveness plus the SLO block; ``status`` flips
   to ``degraded`` while an error-budget fast burn is in progress
 * ``GET /events``     → the structured-log ring (with ``dropped``)
@@ -50,14 +49,16 @@ Connections (:class:`_Connection`):
   arrived: while a miss is on the pool, reading pauses and later bytes
   stay buffered.
 * **Deadline.**  A connection that waits longer than ``read_timeout_s``
-  for a head, or for the rest of a body, is aborted with no response
-  and no record.  One timer per connection enforces it: each wait
-  notes when it began, and a timer that fires early re-arms for the
-  time left, so a steady keep-alive stream arms no timer per request
-  and is never cut.
+  for the client is aborted: for a head or the rest of a body (with no
+  response and no record), while its write buffer is full, or while it
+  is closing with answers the client has not read.  One timer per
+  connection enforces it: each wait notes when it began, and a timer
+  that fires early re-arms for the time left, so a steady keep-alive
+  stream arms no timer per request and is never cut.
 * **Backpressure.**  From ``pause_writing`` to ``resume_writing`` the
-  connection frames nothing and pauses reading, so the bytes it
-  buffers stay bounded whatever the client sends or refuses to read.
+  connection frames nothing, pauses reading and waits, so the bytes it
+  buffers stay bounded whatever the client sends, and a client that
+  never reads cannot hold ``stop()`` past the deadline.
 * **Stopping.**  :meth:`PredictionServer.stop` stops accepting, closes
   every connection waiting for a head (a partial head included), lets
   in-flight answers and bodies still being read finish with
@@ -80,7 +81,7 @@ from urllib.parse import parse_qs
 
 from repro import obs
 from repro.obs import names
-from repro.obs.export import events_payload, healthz_payload, metrics_payload
+from repro.obs.metrics import wrap_snapshot
 from repro.obs.tracing import Span
 from repro.perf.cache import MISS, response_cache
 from repro.resilience.faultinject import solver_fault_armed
@@ -166,7 +167,10 @@ class PredictionServer:
         self._closing = True
         for conn in list(self._connections):
             conn.close_if_idle()
-        await asyncio.gather(*(conn.finished for conn in self._connections))
+        # Shielded: a cancelled stop() (a wait_for timeout, a second
+        # Ctrl-C) must not cancel the futures the next stop() awaits.
+        await asyncio.gather(*(asyncio.shield(conn.finished)
+                               for conn in self._connections))
         await self._server.wait_closed()
         self._server = None
         if self._executor is not None:
@@ -270,19 +274,39 @@ class PredictionServer:
         return status, payload, trace
 
     def _handle_get(self, path: str, query: str) -> tuple[int, object]:
+        """Answer a read route from the active telemetry session.
+
+        ``/metrics`` wraps the registry's snapshot, taken under its own
+        lock, so concurrent writers never leak a half-registered view.
+        ``/healthz`` counts instruments and events before ``slo_state()``
+        registers its gauges or logs a transition.
+        """
+        session = obs.session()
         if path == "/metrics":
-            status, payload = metrics_payload()
-            if status == 200:
-                payload["windows"] = self.stats.windows_payload()
-            return status, payload
+            if session is None:
+                return 503, {"error": "telemetry disabled",
+                             "hint": "enable telemetry (repro.obs.enable) "
+                                     "or run with --serve-metrics"}
+            payload = wrap_snapshot(session.metrics.snapshot())
+            payload["windows"] = self.stats.windows_payload()
+            return 200, payload
         if path == "/healthz":
-            status, payload = healthz_payload(self.uptime_s)
-            slo = self.stats.slo_state()
-            payload["slo"] = slo
+            payload = {
+                "uptime_s": round(self.uptime_s, 3),
+                "telemetry": session is not None,
+                "instruments": 0 if session is None else len(session.metrics),
+                "events": 0 if session is None else len(session.log.events),
+            }
+            slo = payload["slo"] = self.stats.slo_state()
             payload["status"] = slo["status"]
-            return status, payload
+            return 200, payload
         if path == "/events":
-            return events_payload()
+            if session is None:
+                return 503, {"error": "telemetry disabled"}
+            # ``dropped`` counts events the bounded ring evicted: non-zero
+            # means the array is a suffix of the session's history.
+            return 200, {"events": list(session.log.events),
+                         "dropped": session.log.dropped}
         if path == "/debug/requests":
             params = parse_qs(query)
             try:
@@ -355,11 +379,14 @@ class _Connection(asyncio.Protocol):
         return True
 
     def pause_writing(self) -> None:
+        # A full write buffer is a wait for the client, under the deadline.
         self._paused = True
         self._transport.pause_reading()
+        self._wait()
 
     def resume_writing(self) -> None:
         self._paused = False
+        self._wait_since = None
         if self._pending is None:
             self._transport.resume_reading()
             self._frame()
@@ -388,13 +415,14 @@ class _Connection(asyncio.Protocol):
 
         Frames nothing while a miss is on the pool, while writing is
         paused or once the connection is closing.  When the next head or
-        body is not all here, a wait begins (or the connection closes,
-        after the client's EOF).
+        body is not all here, or the connection is closing (as it does
+        after the client's EOF), a wait for the client begins: for its
+        bytes, or for it to read what is still buffered.
         """
         buf = self._buffer
         while self._pending is None and not self._paused:
             if self._transport.is_closing():
-                return
+                break
             if self._request is None:
                 end = buf.find(b"\r\n\r\n")
                 if end < 0 and len(buf) <= _MAX_FRAME_BYTES:
@@ -404,12 +432,12 @@ class _Connection(asyncio.Protocol):
                     # No head within the limit, or stop() began: the
                     # head is neither routed nor recorded.
                     self._transport.close()
-                    return
+                    break
                 self._wait_since = None
                 self._request = self._parse(bytes(buf[:end + 4]))
                 del buf[:end + 4]
                 if self._request is None:    # refused: answered, closing
-                    return
+                    break
             length = self._request[5]
             if len(buf) < length:
                 break
@@ -422,17 +450,25 @@ class _Connection(asyncio.Protocol):
             return
         if self._eof:
             self._transport.close()
-        elif self._wait_since is None:
-            self._wait_since = self._loop.time()
-            if self._timer is None:
-                self._timer = self._loop.call_at(
-                    self._wait_since + self._server.read_timeout_s,
-                    self._expire)
+        if self._wait_since is None:
+            self._wait()
+
+    def _wait(self) -> None:
+        """Begin a wait for the client; arm the timer if none is armed."""
+        self._wait_since = self._loop.time()
+        if self._timer is None:
+            self._timer = self._loop.call_at(
+                self._wait_since + self._server.read_timeout_s, self._expire)
 
     def _expire(self) -> None:
-        """The read deadline: abort a wait that ran out, else re-arm."""
+        """The deadline: abort a wait that ran out, else re-arm.
+
+        Closing does not end a wait: ``close()`` leaves the transport
+        open until its write buffer drains, which a client that never
+        reads never lets happen.
+        """
         self._timer = None
-        if self._wait_since is None or self._transport.is_closing():
+        if self._wait_since is None:
             return          # answering: the next wait arms a timer again
         due = self._wait_since + self._server.read_timeout_s
         if self._loop.time() < due:

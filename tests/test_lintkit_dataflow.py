@@ -329,7 +329,7 @@ class TestAliasAnalysisScopes:
 class TestSymbolIndex:
     SRC = """
         import threading
-        from repro.obs.export import MetricsServer
+        from repro.serve import PredictionServer
 
         REG = {}
 

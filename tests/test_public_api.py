@@ -98,8 +98,9 @@ class TestImportPath:
         assert proc.stdout.strip() == "[]"
 
     def test_import_loads_no_http_stack(self):
-        # MetricsServer imports http.server when it starts, so a process
-        # that only imports the package pays for none of its imports.
+        # No module of the package imports http.server (repro serve and
+        # --serve-metrics run on asyncio), so a process that only
+        # imports the package loads none of the stdlib HTTP stack.
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-c",

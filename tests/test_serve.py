@@ -379,7 +379,7 @@ class TestHTTPEndpoints:
 
         (ms, metrics), (hs, health) = run_with_server(scenario)
         assert ms == 200 and hs == 200
-        # The exporter's wrapped-snapshot schema, verbatim.
+        # The wrapped-snapshot schema manifests persist, verbatim.
         assert "snapshot_schema" in metrics
         instruments = metrics["instruments"]
         assert instruments[_names.SERVE_PREDICTIONS]["value"] == 1
@@ -962,6 +962,103 @@ class TestStop:
         assert handled == [first]
         assert [e["status"] for e in server.stats.request_log.recent()] \
             == [200]
+
+    @pytest.mark.parametrize("case", ["paused", "idle", "closing"])
+    def test_a_client_that_never_reads_does_not_hold_stop(self, monkeypatch,
+                                                           case):
+        # The client pipelines memo hits and reads no answer.  "paused":
+        # about 5 MB of them fill the connection's write buffer and it
+        # pauses.  Otherwise the high-water mark is lifted, so the
+        # answers to 2,000 sit in a write buffer that never pauses, and
+        # the connection closes with them unread: by stop() while
+        # "idle", or after a final Connection: close ("closing").
+        # Either way only the deadline, not the client, bounds stop().
+        if case != "paused":
+            made = http_mod._Connection.connection_made
+
+            def unpaused(conn, transport):
+                # Small kernel buffers keep the unsent answers few:
+                # Python 3.12+ sums the write buffer on every write.
+                transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                transport.set_write_buffer_limits(high=1 << 30)
+                made(conn, transport)
+
+            monkeypatch.setattr(http_mod._Connection, "connection_made",
+                                unpaused)
+
+        def ready(server, n: int) -> bool:
+            if case == "paused":
+                return any(conn._paused for conn in server._connections)
+            return server.stats.request_log.total == n + 2
+
+        async def main():
+            server = await PredictionServer(port=0, workers=2,
+                                            read_timeout_s=0.5).start()
+            reader, writer = await self.send_predict(server)
+            try:
+                await asyncio.wait_for(_read_response(reader), timeout=10)
+                raw = json.dumps(PREDICT_BODY).encode()
+                request = (f"POST /predict HTTP/1.1\r\nHost: t\r\n"
+                           f"Content-Length: {len(raw)}\r\n\r\n"
+                           ).encode() + raw
+                last = "close" if case == "closing" else "keep-alive"
+                n = 5_000_000 // len(request)
+                if case != "paused":
+                    n = 2_000
+                    writer.get_extra_info("socket").setsockopt(
+                        socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                writer.write(request * n + request.replace(
+                    b"\r\n\r\n", f"\r\nConnection: {last}\r\n\r\n".encode(),
+                    1))
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 20
+                while not ready(server, n):
+                    assert loop.time() < deadline, f"never {case}"
+                    await asyncio.sleep(0.01)
+                start = loop.time()
+                await asyncio.wait_for(server.stop(), 5)
+                return loop.time() - start
+            finally:
+                writer.transport.abort()
+
+        assert asyncio.run(main()) < 5
+
+    def test_a_cancelled_stop_leaves_the_next_one_working(self, monkeypatch,
+                                                          caplog):
+        # A stop() cancelled while a miss is on the pool (a wait_for
+        # timeout, a second Ctrl-C) must not cancel what the next stop()
+        # waits for: that one returns once the answer is written.
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        started, release = threading.Event(), threading.Event()
+
+        def held_predict(body):
+            started.set()
+            release.wait(10)
+            return handle_predict(body)
+
+        monkeypatch.setattr(http_mod, "handle_predict", held_predict)
+
+        async def main():
+            server = await PredictionServer(port=0, workers=2).start()
+            reader, writer = await self.send_predict(server)
+            try:
+                assert await asyncio.to_thread(started.wait, 10)
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(server.stop(), 0.1)
+                release.set()
+                await asyncio.wait_for(server.stop(), 5)
+                return await asyncio.wait_for(_read_response(reader),
+                                              timeout=2)
+            finally:
+                release.set()
+                await close(writer)
+
+        status, headers, raw = asyncio.run(main())
+        assert status == 200 and headers["connection"] == "close"
+        assert json.loads(raw) == handle_predict(dict(PREDICT_BODY))[1]
+        assert not [r for r in caplog.records
+                    if "Exception in callback" in r.getMessage()]
 
     def test_sigint_drains_the_cli_server(self):
         # `repro serve` stops through stop(): an idle keep-alive client
