@@ -50,11 +50,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import perf_record  # noqa: E402
 
-#: Counter-name suffixes that measure deterministic solver/simulator work.
-GATED_SUFFIXES = (".calls", ".solves", ".iterations", ".events_processed")
-
-#: Prefixes excluded from gating (cache bookkeeping varies legitimately).
-EXCLUDED_PREFIXES = ("perf.cache.",)
+from repro.obs.drift import is_gated_counter  # noqa: E402
 
 DEFAULT_THRESHOLD = 0.25
 
@@ -88,9 +84,7 @@ def gated_counters(record: dict) -> dict[str, float]:
         else:
             # Old-schema record: a bare number is a counter sample.
             value = summary
-        if not key.endswith(GATED_SUFFIXES):
-            continue
-        if key.startswith(EXCLUDED_PREFIXES):
+        if not is_gated_counter(key):
             continue
         try:
             out[key] = float(value)

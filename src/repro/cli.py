@@ -87,6 +87,7 @@ import sys
 
 from repro import __version__, obs
 from repro.experiments import available_experiments, run_experiment
+from repro.obs.tracing import count_spans
 
 #: Non-experiment commands, as shown by ``repro list``.
 _COMMANDS: dict[str, str] = {
@@ -585,18 +586,12 @@ def _cmd_tail(args) -> int:
         print(f"  {'request id':<18} {'method':<7} {'path':<18} "
               f"{'status':>6} {'ms':>9} {'spans':>6}")
         for entry in entries:
-            spans = _span_count(entry.get("trace"))
+            spans = count_spans(entry.get("trace"))
             print(f"  {entry['request_id']:<18} {entry['method']:<7} "
                   f"{entry['path']:<18} {entry['status']:>6} "
                   f"{entry['duration_s'] * 1e3:>9.2f} "
                   f"{spans if spans else '-':>6}")
     return 0
-
-
-def _span_count(trace) -> int:
-    if not trace:
-        return 0
-    return 1 + sum(_span_count(c) for c in trace.get("children", ()))
 
 
 def main(argv: list[str] | None = None) -> int:

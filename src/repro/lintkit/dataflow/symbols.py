@@ -77,8 +77,6 @@ class ModuleInfo:
     thread_targets: tuple[str, ...] = ()
     #: dotted names submitted to a process pool / run_isolated.
     process_entries: tuple[str, ...] = ()
-    #: ``Class.do_*`` methods of BaseHTTPRequestHandler subclasses.
-    handler_methods: tuple[str, ...] = ()
 
     def to_summary(self) -> dict:
         return {
@@ -95,7 +93,6 @@ class ModuleInfo:
             "globals_all": sorted(self.globals_all),
             "thread_targets": sorted(self.thread_targets),
             "process_entries": sorted(self.process_entries),
-            "handler_methods": sorted(self.handler_methods),
         }
 
     @classmethod
@@ -115,7 +112,6 @@ class ModuleInfo:
         info.globals_all = tuple(data.get("globals_all", ()))
         info.thread_targets = tuple(data.get("thread_targets", ()))
         info.process_entries = tuple(data.get("process_entries", ()))
-        info.handler_methods = tuple(data.get("handler_methods", ()))
         return info
 
 
@@ -141,15 +137,6 @@ def _is_mutable_binding(value: ast.AST) -> bool:
         if name and name.rsplit(".", 1)[-1] in _MUTABLE_FACTORIES:
             return True
     return False
-
-
-def _base_names(cls: ast.ClassDef) -> list[str]:
-    out = []
-    for base in cls.bases:
-        name = dotted_name(base)
-        if name:
-            out.append(name.rsplit(".", 1)[-1])
-    return out
 
 
 def extract_summary(relpath: str, tree: ast.Module) -> ModuleInfo:
@@ -213,15 +200,9 @@ def _record_function(info: ModuleInfo, name: str, fn: ast.AST) -> None:
 
 
 def _record_class(info: ModuleInfo, cls: ast.ClassDef) -> None:
-    is_handler = "BaseHTTPRequestHandler" in _base_names(cls)
-    handler_methods = list(info.handler_methods)
     for stmt in cls.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qual = f"{cls.name}.{stmt.name}"
-            _record_function(info, qual, stmt)
-            if is_handler and stmt.name.startswith("do_"):
-                handler_methods.append(qual)
-    info.handler_methods = tuple(handler_methods)
+            _record_function(info, f"{cls.name}.{stmt.name}", stmt)
 
 
 def _thread_targets(tree: ast.Module) -> tuple[str, ...]:
@@ -326,13 +307,11 @@ class SymbolIndex:
     # -- concurrency entry points --------------------------------------------
 
     def thread_entry_functions(self) -> set[str]:
-        """Qualified names of thread targets and HTTP handler methods."""
+        """Qualified names of ``threading.Thread`` targets."""
         out: set[str] = set()
         for info in self.modules.values():
             for target in info.thread_targets:
                 out.update(self._qualify_entry(info, target))
-            for method in info.handler_methods:
-                out.add(f"{info.module}.{method}")
         return out
 
     def process_entry_functions(self) -> set[str]:

@@ -5,10 +5,9 @@ module state under threads and process pools.  These rules use the
 cross-module symbol index to see the hazards a single file cannot show:
 
 * ``CONC001`` — a function *reachable from a thread entry point*
-  (a ``threading.Thread(target=...)`` anywhere in the project, or a
-  ``do_*`` method of a ``BaseHTTPRequestHandler`` subclass) mutates a
-  module global or a module-level registry singleton without holding a
-  lock.  Reachability follows the summarised call graph across
+  (a ``threading.Thread(target=...)`` anywhere in the project) mutates
+  a module global or a module-level registry singleton without holding
+  a lock.  Reachability follows the summarised call graph across
   modules, so the mutation and the thread construction can live three
   files apart.
 * ``CONC002`` — a process-pool submission (``pool.submit`` with
@@ -139,8 +138,8 @@ class ThreadSharedMutationRule(Rule):
 
     id = "CONC001"
     name = "thread-shared-mutation"
-    description = ("a function reachable from a Thread target or HTTP "
-                   "handler mutates module state without a lock")
+    description = ("a function reachable from a Thread target mutates "
+                   "module state without a lock")
     tier = 2
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

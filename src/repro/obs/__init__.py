@@ -74,7 +74,7 @@ from repro.obs.state import (
 )
 from repro.obs.store import ArchivedRun, RunStore, StoreError
 from repro.obs.tracing import Span, Tracer
-from repro.obs.window import WINDOW_SCHEMA, RollingCounter, RollingHistogram
+from repro.obs.window import WINDOW_SCHEMA, RollingHistogram
 
 # NOTE: repro.obs.doctor is deliberately not imported here — it reaches
 # into repro.experiments (which imports repro.obs) and must stay lazy.
@@ -92,7 +92,7 @@ __all__ = [
     "render_html", "write_html",
     "HotSpot", "Profiler", "ProfileReport", "parse_collapsed",
     "StructuredLog", "LOG_SCHEMA", "check_event_name", "parse_jsonl",
-    "RollingCounter", "RollingHistogram", "WINDOW_SCHEMA",
+    "RollingHistogram", "WINDOW_SCHEMA",
     "SLObjective", "SLOTracker", "FAST_BURN", "SLO_SCHEMA",
     "TelemetrySession", "NOOP_SPAN",
     "enable", "disable", "enabled", "session",

@@ -30,12 +30,22 @@ from repro.obs.store import ArchivedRun
 from repro.util.tables import TextTable
 
 #: Counter-name suffixes that measure deterministic solver/simulator work
-#: (mirrors the benchmark regression gate).
+#: (the family this module and the benchmark regression gate both gate).
 GATED_SUFFIXES = (".calls", ".solves", ".iterations", ".events_processed")
 
 #: Counter prefixes excluded from gating (cache bookkeeping varies
 #: legitimately with process layout).
 EXCLUDED_PREFIXES = ("perf.cache.",)
+
+
+def is_gated_counter(key: str) -> bool:
+    """Whether a counter key names deterministic work.
+
+    ``key`` may carry ``{labels}``; the name before them decides.
+    """
+    base = key.split("{", 1)[0]
+    return base.endswith(GATED_SUFFIXES) and \
+        not base.startswith(EXCLUDED_PREFIXES)
 
 
 @dataclass(frozen=True)
@@ -183,12 +193,8 @@ def _gated_counters(metrics: dict[str, dict]) -> dict[str, float]:
     for key, summary in metrics.items():
         if not isinstance(summary, dict) or summary.get("kind") != "counter":
             continue
-        base = key.split("{", 1)[0]
-        if not base.endswith(GATED_SUFFIXES):
-            continue
-        if base.startswith(EXCLUDED_PREFIXES):
-            continue
-        out[key] = float(summary.get("value", 0.0))
+        if is_gated_counter(key):
+            out[key] = float(summary.get("value", 0.0))
     return out
 
 
@@ -250,6 +256,7 @@ __all__ = [
     "DriftReport",
     "DriftThresholds",
     "compare_runs",
+    "is_gated_counter",
     "GATED_SUFFIXES",
     "EXCLUDED_PREFIXES",
 ]

@@ -17,7 +17,6 @@ worker crashes become greppable records instead of ad-hoc prints.
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import deque
 from typing import Callable, TextIO
@@ -31,21 +30,8 @@ LEVELS = ("debug", "info", "warning", "error")
 
 #: Default in-session buffer capacity.  Long-running processes (``repro
 #: serve``) emit events indefinitely; the buffer keeps the most recent
-#: few thousand and counts the rest as dropped.  Override per session
-#: via ``StructuredLog(maxlen=...)`` or the ``REPRO_LOG_BUFFER``
-#: environment variable (``0`` means unbounded).
+#: few thousand and counts the rest as dropped.
 DEFAULT_LOG_BUFFER = 4096
-
-
-def _default_maxlen() -> int | None:
-    raw = os.environ.get("REPRO_LOG_BUFFER", "").strip()
-    if not raw:
-        return DEFAULT_LOG_BUFFER
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_LOG_BUFFER
-    return None if value <= 0 else value
 
 
 def check_event_name(event: str) -> str:
@@ -63,9 +49,7 @@ class StructuredLog:
     """
 
     def __init__(self, clock: Callable[[], float] = time.time,
-                 maxlen: int | None = None) -> None:
-        if maxlen is None:
-            maxlen = _default_maxlen()
+                 maxlen: int = DEFAULT_LOG_BUFFER) -> None:
         self._clock = clock
         self.maxlen = maxlen
         self.events: deque[dict] = deque(maxlen=maxlen)
@@ -104,7 +88,7 @@ class StructuredLog:
                   "event": event}
         record.update(self._context)
         record.update(fields)
-        if self.maxlen is not None and len(self.events) == self.maxlen:
+        if len(self.events) == self.maxlen:
             self.dropped += 1
         self.events.append(record)
         if self._sink is not None:

@@ -3,10 +3,10 @@
 An :class:`SLObjective` states a target over a service-level indicator
 — availability ("99.9% of requests succeed") or latency ("99% of
 requests answer under 250 ms").  The :class:`SLOTracker` reads the
-server's rolling latency histograms and 5xx counters
-(:mod:`repro.obs.window`) and evaluates **burn rates**: how fast the
-error budget (``1 - target``) is being consumed, normalised so a burn
-rate of 1.0 exactly exhausts the budget over the SLO period.
+server's two rolling request rings (:mod:`repro.obs.window`) and
+evaluates **burn rates**: how fast the error budget (``1 - target``)
+is being consumed, normalised so a burn rate of 1.0 exactly exhausts
+the budget over the SLO period.
 
 Degradation follows the multi-window, multi-burn-rate pattern from the
 SRE literature: the tracker flips an objective to ``degraded`` only
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from repro.obs.metrics import HIST_MAX_EXP, HIST_MIN_EXP
-from repro.obs.window import RollingCounter, RollingHistogram
+from repro.obs.window import RollingHistogram
 
 #: Schema version of the ``slo`` block served by ``/healthz``.
 SLO_SCHEMA = 1
@@ -99,26 +99,23 @@ OBJECTIVES = (
 class SLOTracker:
     """Evaluates burn rates over the server's request windows.
 
-    ``latency`` and ``errors`` are the server's (fast, slow) rings of
+    ``rings`` are the server's (fast, slow) request rings, each holding
     request durations and 5xx counts; the tracker keeps none of its own.
     """
 
     def __init__(self,
-                 latency: tuple[RollingHistogram, RollingHistogram],
-                 errors: tuple[RollingCounter, RollingCounter]) -> None:
-        self._latency = latency
-        self._errors = errors
+                 rings: tuple[RollingHistogram, RollingHistogram]) -> None:
+        self._rings = rings
         self._degraded: set[str] = set()
 
     # -- evaluation -----------------------------------------------------------
 
     def _window(self, slow: bool, last: int | None,
-                now: float) -> tuple[int, dict[str, float]]:
+                now: float) -> tuple[int, dict[str, int]]:
         """(requests, bad requests per objective kind) in one window."""
-        total, too_slow = self._latency[slow].counts(
+        total, too_slow, errors = self._rings[slow].counts(
             _LATENCY_THRESHOLD_S, now, last)
-        return total, {"availability": self._errors[slow].total(now, last),
-                       "latency": too_slow}
+        return total, {"availability": errors, "latency": too_slow}
 
     def state(self, now: float) -> dict:
         """The full SLO block: per-objective windows, burns and status.
@@ -180,7 +177,7 @@ class SLOTracker:
         return state
 
 
-def _burn(obj: SLObjective, total: int, bad: float) -> dict:
+def _burn(obj: SLObjective, total: int, bad: int) -> dict:
     bad_fraction = (bad / total) if total else 0.0
     return {
         "total": int(total),

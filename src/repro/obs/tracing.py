@@ -203,3 +203,10 @@ class Tracer:
             for s in spans:
                 out[s.name] = out.get(s.name, 0.0) + (s.duration or 0.0)
         return out
+
+
+def count_spans(tree: dict | None) -> int:
+    """Spans in a :meth:`Span.to_dict` tree; 0 for an untraced request."""
+    if not tree:
+        return 0
+    return 1 + sum(count_spans(c) for c in tree.get("children", ()))

@@ -1,17 +1,19 @@
-"""Rolling-window instruments: time-bucketed ring-buffer counters/histograms.
+"""The rolling request window: a time-bucketed ring of latency bins.
 
 The cumulative instruments in :mod:`repro.obs.metrics` answer "what
 happened since the process started"; a long-running service also needs
-"what is happening *now*".  These instruments slice time into fixed
-buckets arranged in a ring — by default 60 buckets, so a 1 s bucket
-width gives a 60 s window and a 60 s width gives a 1 h window — and
-lazily reclaim stale slots on write, so cost is O(1) per observation
-with zero background threads.
+"what is happening *now*".  A :class:`RollingHistogram` slices time
+into fixed buckets arranged in a ring — by default 60 buckets, so a
+1 s bucket width gives a 60 s window and a 60 s width gives a 1 h
+window — and lazily reclaims stale slots on write, so cost is O(1) per
+observation with zero background threads.
 
-:class:`RollingHistogram` reuses the power-of-two bin layout of
-:class:`repro.obs.metrics.Histogram` (same ``bin_index`` / ``bin_edges``
-math), so windowed p50/p95/p99 are directly comparable with the
-cumulative snapshot's quantiles, bucket for bucket.
+Each slot holds one bucket's requests: their durations in the
+power-of-two bin layout of :class:`repro.obs.metrics.Histogram` (same
+``bin_index`` / ``bin_edges`` math, so windowed p50/p95/p99 are
+directly comparable with the cumulative snapshot's quantiles, bucket
+for bucket) and how many of them were 5xx.  One ring per window is
+therefore the whole windowed record of a request.
 
 Clocks are injectable (``time.monotonic`` by default) and every read
 method accepts an explicit ``now``, which is what lets tests inject an
@@ -30,21 +32,25 @@ from repro.obs.metrics import Histogram, check_metric_name
 #: bump on breaking changes (the serve benchmark is a tolerant reader).
 WINDOW_SCHEMA = 1
 
+# Slot layout: [epoch, bins, count, sum, min, max, errors].
+_COUNT, _ERRORS = 2, 6
 
-class _Ring:
-    """Shared slot management: a ring of ``buckets`` time slots.
+
+class RollingHistogram:
+    """A power-of-two-binned distribution over the trailing window.
 
     Slot ``epoch % buckets`` holds data for epoch ``floor(now /
     bucket_s)``; a slot whose stored epoch has fallen out of the live
     window is reset on next use and skipped on reads.
     """
 
-    def __init__(self, bucket_s: float, buckets: int,
-                 clock: Callable[[], float]) -> None:
+    def __init__(self, name: str, bucket_s: float = 1.0, buckets: int = 60,
+                 clock: Callable[[], float] = time.monotonic) -> None:
         if bucket_s <= 0 or buckets < 2:
             raise ValueError(
                 f"want bucket_s > 0 and buckets >= 2, got "
                 f"bucket_s={bucket_s} buckets={buckets}")
+        self.name = check_metric_name(name)
         self.bucket_s = float(bucket_s)
         self.buckets = int(buckets)
         self._clock = clock
@@ -77,62 +83,19 @@ class _Ring:
         return out
 
     def span_s(self, now: float) -> float:
-        """Effective averaging span: window size capped by lifetime.
+        """Effective averaging span: the window, capped by the lifetime.
 
-        Rates divide by this, so a service two seconds old reports its
-        actual rate instead of one diluted over an empty minute.
+        The lifetime counts as at least one bucket.  Rates divide by
+        this, so a service two seconds old reports its actual rate on
+        the 60×1 s ring instead of one diluted over an empty minute,
+        while the 60×1 min ring still divides by a full minute.
         """
         alive = max(now - self._created, self.bucket_s)
         return min(self.window_s, alive)
 
-
-class RollingCounter(_Ring):
-    """A count over the trailing window."""
-
-    def __init__(self, name: str, bucket_s: float = 1.0, buckets: int = 60,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        super().__init__(bucket_s, buckets, clock)
-        self.name = check_metric_name(name)
-
-    def inc(self, n: float = 1.0, now: float | None = None) -> None:
-        if n < 0:
-            raise ValueError(f"rolling counter {self.name} cannot decrease")
-        now = self._clock() if now is None else now
-        epoch = self._epoch(now)
-        idx = epoch % self.buckets
-        with self._lock:
-            slot = self._slots[idx]
-            if slot is None or slot[0] != epoch:
-                self._slots[idx] = slot = [epoch, 0.0]
-            slot[1] += n
-
-    def total(self, now: float | None = None,
-              last: int | None = None) -> float:
-        now = self._clock() if now is None else now
-        return sum(slot[1] for slot in self._live(now, last))
-
-    def series(self, now: float | None = None) -> list[float]:
-        """Per-bucket totals, oldest to newest; stale buckets read 0."""
-        now = self._clock() if now is None else now
-        cur = self._epoch(now)
-        out = [0.0] * self.buckets
-        with self._lock:
-            for i, epoch in enumerate(range(cur - self.buckets + 1, cur + 1)):
-                slot = self._slots[epoch % self.buckets]
-                if slot is not None and slot[0] == epoch:
-                    out[i] = slot[1]
-        return out
-
-
-class RollingHistogram(_Ring):
-    """A power-of-two-binned distribution over the trailing window."""
-
-    def __init__(self, name: str, bucket_s: float = 1.0, buckets: int = 60,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        super().__init__(bucket_s, buckets, clock)
-        self.name = check_metric_name(name)
-
-    def observe(self, v: float, now: float | None = None) -> None:
+    def observe(self, v: float, now: float | None = None,
+                error: bool = False) -> None:
+        """Record one request of duration ``v``; ``error`` if it was a 5xx."""
         now = self._clock() if now is None else now
         epoch = self._epoch(now)
         idx = epoch % self.buckets
@@ -140,8 +103,7 @@ class RollingHistogram(_Ring):
         with self._lock:
             slot = self._slots[idx]
             if slot is None or slot[0] != epoch:
-                # [epoch, bins, count, sum, min, max]
-                self._slots[idx] = slot = [epoch, {}, 0, 0.0, v, v]
+                self._slots[idx] = slot = [epoch, {}, 0, 0.0, v, v, 0]
             slot[1][e] = slot[1].get(e, 0) + 1
             slot[2] += 1
             slot[3] += v
@@ -149,13 +111,15 @@ class RollingHistogram(_Ring):
                 slot[4] = v
             if v > slot[5]:
                 slot[5] = v
+            if error:
+                slot[6] += 1
 
     def merged(self, now: float | None = None,
                last: int | None = None) -> Histogram:
         """A transient cumulative :class:`Histogram` over the live window."""
         now = self._clock() if now is None else now
         hist = Histogram(self.name)
-        for _epoch, bins, count, total, vmin, vmax in self._live(now, last):
+        for _epoch, bins, count, total, vmin, vmax, _ in self._live(now, last):
             for e, c in bins.items():
                 hist.bins[e] = hist.bins.get(e, 0) + c
             hist.count += count
@@ -165,22 +129,23 @@ class RollingHistogram(_Ring):
         return hist
 
     def counts(self, at_least: float, now: float | None = None,
-               last: int | None = None) -> tuple[int, int]:
-        """``(observations, observations >= at_least)`` in the live window.
+               last: int | None = None) -> tuple[int, int, int]:
+        """``(observations, observations >= at_least, 5xx)`` in the window.
 
         Exact when ``at_least`` is a bin's lower edge: a power of two
         inside the bin range, as latency SLO thresholds must be.
         """
         now = self._clock() if now is None else now
         low = Histogram.bin_index(at_least)
-        total = over = 0
+        total = over = errors = 0
         for slot in self._live(now, last):
             total += slot[2]
+            errors += slot[6]
             if slot[5] >= at_least:     # else no bin reaches the edge
                 for e, n in slot[1].items():
                     if e >= low:
                         over += n
-        return total, over
+        return total, over, errors
 
     def summary(self, now: float | None = None,
                 last: int | None = None) -> dict:
@@ -190,8 +155,7 @@ class RollingHistogram(_Ring):
         out.pop("bins", None)  # window payloads stay compact
         return out
 
-    def series(self, now: float | None = None) -> list[int]:
-        """Per-bucket observation counts, oldest to newest."""
+    def _per_bucket(self, field: int, now: float | None) -> list[int]:
         now = self._clock() if now is None else now
         cur = self._epoch(now)
         out = [0] * self.buckets
@@ -199,8 +163,16 @@ class RollingHistogram(_Ring):
             for i, epoch in enumerate(range(cur - self.buckets + 1, cur + 1)):
                 slot = self._slots[epoch % self.buckets]
                 if slot is not None and slot[0] == epoch:
-                    out[i] = slot[2]
+                    out[i] = slot[field]
         return out
+
+    def series(self, now: float | None = None) -> list[int]:
+        """Per-bucket observation counts, oldest to newest."""
+        return self._per_bucket(_COUNT, now)
+
+    def error_series(self, now: float | None = None) -> list[int]:
+        """Per-bucket 5xx counts, oldest to newest; stale buckets read 0."""
+        return self._per_bucket(_ERRORS, now)
 
     def bucket_quantiles(self, q: float,
                          now: float | None = None) -> list[float | None]:

@@ -9,7 +9,7 @@ and the memo of encoded ``repro serve`` answers.  Hit/miss/eviction
 counters are mirrored into the ``repro.obs`` telemetry session as
 ``perf.cache.<name>.*``.
 
-Disable with ``REPRO_PERF_CACHE=0`` or :func:`set_enabled`.
+Disable with :func:`set_enabled`.
 """
 
 from repro.perf.cache import (
@@ -18,7 +18,6 @@ from repro.perf.cache import (
     cache_stats,
     caches_enabled,
     clear_caches,
-    configure,
     flow_cache,
     mva_cache,
     profile_cache,
@@ -33,7 +32,6 @@ __all__ = [
     "cache_stats",
     "caches_enabled",
     "clear_caches",
-    "configure",
     "fingerprint",
     "flow_cache",
     "flow_key",

@@ -13,20 +13,17 @@ Four process-global caches back the fast path:
   answers, keyed on (path, SHA-256 of the request body), so a repeated
   ``/predict`` or ``/recommend`` body is answered before JSON decoding.
 
-All are enabled by default, bounded (LRU eviction) and observable: each
+All start enabled, are bounded (LRU eviction) and observable: each
 lookup bumps local hit/miss counters, mirrored into the active telemetry
 session as ``perf.cache.<name>.hits`` / ``.misses`` / ``.evictions`` so
 BENCH records and run manifests show cache effectiveness alongside the
-solver-call counters they suppress.
-
-Set ``REPRO_PERF_CACHE=0`` in the environment to disable every cache
-(used by the regression gate to measure the uncached baseline), or call
-:func:`set_enabled` / :func:`clear_caches` programmatically.
+solver-call counters they suppress.  :func:`set_enabled` turns every
+cache off (the tests' uncached oracle) and :func:`clear_caches` empties
+them.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 
@@ -56,13 +53,12 @@ class MemoCache:
                  "evictions", "_data", "_lock", "_metric_hits",
                  "_metric_misses", "_metric_evictions")
 
-    def __init__(self, name: str, maxsize: int = 4096,
-                 enabled: bool = True) -> None:
+    def __init__(self, name: str, maxsize: int = 4096) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.name = name
         self.maxsize = maxsize
-        self.enabled = enabled
+        self.enabled = True
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -140,18 +136,14 @@ class MemoCache:
             return len(self._data)
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_PERF_CACHE", "1") not in ("0", "false", "")
-
-
 #: Full flow solutions; one entry per (machine, profile, allocation).
-flow_cache = MemoCache("flow", maxsize=4096, enabled=_env_enabled())
+flow_cache = MemoCache("flow", maxsize=4096)
 #: Closed-network solutions (MVA results and per-chain throughputs).
-mva_cache = MemoCache("mva", maxsize=32768, enabled=_env_enabled())
+mva_cache = MemoCache("mva", maxsize=32768)
 #: Calibrated memory profiles; one entry per (program, class, machine).
-profile_cache = MemoCache("profile", maxsize=1024, enabled=_env_enabled())
+profile_cache = MemoCache("profile", maxsize=1024)
 #: Encoded exact service answers; one entry per (path, body digest).
-response_cache = MemoCache("response", maxsize=1024, enabled=_env_enabled())
+response_cache = MemoCache("response", maxsize=1024)
 
 _ALL = (flow_cache, mva_cache, profile_cache, response_cache)
 
@@ -178,19 +170,3 @@ def clear_caches() -> None:
 def cache_stats() -> dict[str, dict]:
     """``{cache name: stats dict}`` for every cache."""
     return {c.name: c.stats() for c in _ALL}
-
-
-def configure(flow_maxsize: int | None = None,
-              mva_maxsize: int | None = None) -> None:
-    """Adjust cache size bounds; shrinking evicts LRU entries."""
-    for cache, maxsize in ((flow_cache, flow_maxsize),
-                           (mva_cache, mva_maxsize)):
-        if maxsize is None:
-            continue
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        with cache._lock:
-            cache.maxsize = maxsize
-            while len(cache._data) > maxsize:
-                cache._data.popitem(last=False)
-                cache.evictions += 1

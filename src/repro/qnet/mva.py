@@ -378,93 +378,18 @@ def exact_throughputs_cells(
     return out
 
 
-def schweitzer_amva(network: ClosedNetwork, population: int,
-                    tol: float = 1e-10, max_iter: int = 100_000,
-                    strict: bool = False) -> MVAResult:
-    """Schweitzer/Bard approximate MVA.
+def _schweitzer_rows(demands: np.ndarray, is_queue: np.ndarray,
+                     scv: np.ndarray, pops: np.ndarray, tol: float,
+                     max_iter: int):
+    """The Schweitzer fixed point on ``[chains, stations]`` rows.
 
-    Replaces the exact arrival theorem with
-    ``Q_i(N-1) ~= Q_i(N) (N-1)/N`` and iterates to a fixed point.  Errors
-    are typically under a few percent; used where the exact recursion over
-    1..N would be wasteful.
-
-    With ``strict=True`` a fixed point that has not converged after
-    ``max_iter`` iterations raises
-    :class:`~repro.resilience.errors.ConvergenceError` instead of being
-    returned silently — the mode the degradation ladder
-    (:func:`repro.resilience.solve_network`) runs it in, so a bad
-    iterate falls through to the bounds rung.
+    Every row sweeps until the largest queue-length change over the
+    whole batch falls below ``tol``, or ``max_iter`` times.  Each row
+    counts one ``qnet.mva.schweitzer.calls`` (and one ``.nonconverged``
+    if the batch stopped short).  Returns ``(x, residence, q,
+    iterations, residual)``: throughputs ``[C]``, the last sweep's
+    per-station ``[C, S]`` arrays, the sweep count and its residual.
     """
-    check_integer("population", population, minimum=0)
-    check_positive("tol", tol)
-    stations, mapping = _expand_multiserver(network.stations)
-    n = len(stations)
-    demands, is_queue, scv = _station_arrays(stations)
-    if population == 0:
-        z = np.zeros(n)
-        return _collapse([s.name for s in stations], mapping,
-                         network.stations, 0, 0.0, np.zeros(n), z, z)
-
-    # Loop-invariant station vectors, hoisted: queueing and delay demands
-    # split so the residence update is pure elementwise arithmetic.
-    qd = np.where(is_queue, demands, 0.0)
-    dd = np.where(is_queue, 0.0, demands)
-    scv_term = qd * (scv - 1.0) * 0.5
-    shrink = (population - 1) / population
-
-    q = np.full(n, population / n)
-    x = 0.0
-    residence = demands.copy()
-    iterations = 0
-    residual = float("inf")
-    for iterations in range(1, max_iter + 1):
-        u = np.minimum(x * qd, 1.0)
-        residence = dd + qd * (1.0 + q * shrink) + u * scv_term
-        total = float(residence.sum())
-        if total <= 0:
-            raise ValidationError("network has zero total demand")
-        x = population / total
-        q_new = x * residence
-        residual = float(np.max(np.abs(q_new - q)))
-        q = q_new
-        if residual < tol:
-            break
-    tel = _obs_state._active
-    if tel is not None:
-        reg = tel.metrics
-        reg.counter(_names.QNET_MVA_SCHWEITZER_CALLS).inc()
-        reg.counter(_names.QNET_MVA_SCHWEITZER_ITERATIONS).inc(iterations)
-        reg.histogram(_names.QNET_MVA_SCHWEITZER_RESIDUAL).observe(residual)
-        if residual >= tol:
-            reg.counter(_names.QNET_MVA_SCHWEITZER_NONCONVERGED).inc()
-    if strict and residual >= tol:
-        raise ConvergenceError(
-            f"schweitzer AMVA: no convergence after {iterations} "
-            f"iterations (residual {residual:.3e}, tol {tol:.1e})",
-            site="qnet.mva.schweitzer", iterations=iterations,
-            residual=residual, tol=tol, population=population)
-    u = np.minimum(x * qd, 1.0)
-    return _collapse([s.name for s in stations], mapping, network.stations,
-                     population, x, residence, q, u)
-
-
-def schweitzer_throughputs(demands: np.ndarray, is_queue: np.ndarray,
-                           scv: np.ndarray, populations: np.ndarray,
-                           tol: float = 1e-10,
-                           max_iter: int = 100_000) -> np.ndarray:
-    """Batched Schweitzer AMVA throughputs on ``[chains, stations]`` rows.
-
-    The degraded counterpart of :func:`exact_throughputs_cells` — same row
-    layout (single-channel queueing and delay stations, padded rows
-    allowed), O(iterations) independent of the populations, so the flow
-    fixed point stays cheap when a chain's exact recursion is abandoned.
-    Rows that have not converged after ``max_iter`` sweeps raise
-    :class:`~repro.resilience.errors.ConvergenceError` — the caller is
-    the ladder, which then falls to the bounds rung.
-    """
-    pops = populations.astype(float)
-    if np.any(pops < 1):
-        raise ValidationError("populations must be >= 1")
     qd = np.where(is_queue, demands, 0.0)
     dd = np.where(is_queue, 0.0, demands)
     scv_term = qd * (scv - 1.0) * 0.5
@@ -472,6 +397,7 @@ def schweitzer_throughputs(demands: np.ndarray, is_queue: np.ndarray,
     shrink = ((pops - 1.0) / pops)[:, None]
     q = np.full_like(demands, 1.0) * (pops[:, None] / n_stations)
     x = np.zeros(n_chains)
+    residence = demands
     iterations = 0
     residual = float("inf")
     for iterations in range(1, max_iter + 1):
@@ -492,10 +418,60 @@ def schweitzer_throughputs(demands: np.ndarray, is_queue: np.ndarray,
         reg.counter(_names.QNET_MVA_SCHWEITZER_CALLS).inc(n_chains)
         reg.counter(_names.QNET_MVA_SCHWEITZER_ITERATIONS).inc(iterations)
         reg.histogram(_names.QNET_MVA_SCHWEITZER_RESIDUAL).observe(residual)
+        if residual >= tol:
+            reg.counter(_names.QNET_MVA_SCHWEITZER_NONCONVERGED).inc(n_chains)
+    return x, residence, q, iterations, residual
+
+
+def schweitzer_amva(network: ClosedNetwork, population: int,
+                    tol: float = 1e-10, max_iter: int = 100_000) -> MVAResult:
+    """Schweitzer/Bard approximate MVA.
+
+    Replaces the exact arrival theorem with
+    ``Q_i(N-1) ~= Q_i(N) (N-1)/N`` and iterates to a fixed point.  Errors
+    are typically under a few percent; used where the exact recursion over
+    1..N would be wasteful.  The network is one row of
+    :func:`schweitzer_throughputs`'s iteration; a fixed point that has
+    not converged after ``max_iter`` iterations is returned as its last
+    iterate (and counted in ``qnet.mva.schweitzer.nonconverged``).
+    """
+    check_integer("population", population, minimum=0)
+    check_positive("tol", tol)
+    stations, mapping = _expand_multiserver(network.stations)
+    n = len(stations)
+    demands, is_queue, scv = _station_arrays(stations)
+    if population == 0:
+        z = np.zeros(n)
+        return _collapse([s.name for s in stations], mapping,
+                         network.stations, 0, 0.0, np.zeros(n), z, z)
+    x, residence, q, _, _ = _schweitzer_rows(
+        demands[None, :], is_queue[None, :], scv[None, :],
+        np.array([float(population)]), tol, max_iter)
+    u = np.minimum(x[0] * np.where(is_queue, demands, 0.0), 1.0)
+    return _collapse([s.name for s in stations], mapping, network.stations,
+                     population, float(x[0]), residence[0], q[0], u)
+
+
+def schweitzer_throughputs(demands: np.ndarray, is_queue: np.ndarray,
+                           scv: np.ndarray, populations: np.ndarray,
+                           tol: float = 1e-10,
+                           max_iter: int = 100_000) -> np.ndarray:
+    """Batched Schweitzer AMVA throughputs on ``[chains, stations]`` rows.
+
+    The degraded counterpart of :func:`exact_throughputs_cells` — same row
+    layout (single-channel queueing and delay stations, padded rows
+    allowed), O(iterations) independent of the populations, so the flow
+    fixed point stays cheap when a chain's exact recursion is abandoned.
+    Rows that have not converged after ``max_iter`` sweeps raise
+    :class:`~repro.resilience.errors.ConvergenceError` — the caller is
+    the ladder, which then falls to the bounds rung.
+    """
+    pops = populations.astype(float)
+    if np.any(pops < 1):
+        raise ValidationError("populations must be >= 1")
+    x, _, _, iterations, residual = _schweitzer_rows(
+        demands, is_queue, scv, pops, tol, max_iter)
     if residual >= tol:
-        if tel is not None:
-            tel.metrics.counter(
-                _names.QNET_MVA_SCHWEITZER_NONCONVERGED).inc(n_chains)
         raise ConvergenceError(
             f"batched schweitzer AMVA: no convergence after {iterations} "
             f"iterations (residual {residual:.3e}, tol {tol:.1e})",

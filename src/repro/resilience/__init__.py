@@ -7,10 +7,11 @@ One bad input or one crashed worker must degrade a run, not destroy it
   every deliberate failure derives from :class:`ReproError` and carries
   a machine-readable ``code`` plus context;
 * **convergence watchdogs** (:mod:`repro.resilience.watchdog`) and the
-  **degradation ladder** (:mod:`repro.resilience.degrade`): iterative
-  solvers get iteration/time budgets, retries with escalated damping,
-  and the graceful fall exact MVA → Schweitzer AMVA → operational
-  bounds, every step recorded in telemetry and experiment notes;
+  event log of the flow solver's **degradation ladder**
+  (:mod:`repro.resilience.degrade`): iterative solvers get
+  iteration/time budgets, retries with escalated damping, and the
+  graceful fall exact MVA → Schweitzer AMVA → operational bounds, every
+  step recorded in telemetry and experiment notes;
 * a **crash-isolated parallel runner**
   (:mod:`repro.resilience.isolation`, used by
   :func:`repro.experiments.run_experiments`): per-task futures with
@@ -29,7 +30,6 @@ from repro.resilience.degrade import (
     drain_events,
     peek_events,
     record_event,
-    solve_network,
 )
 from repro.resilience.errors import (
     ConvergenceError,
@@ -57,7 +57,7 @@ __all__ = [
     "ExperimentError",
     "ConvergencePolicy", "Watchdog", "DEFAULT_POLICY", "LADDER",
     "DegradationEvent", "record_event", "drain_events", "peek_events",
-    "clear_events", "solve_network",
+    "clear_events",
     "IsolationPolicy", "TaskOutcome", "run_isolated",
     "ReportCheckpoint", "CHECKPOINT_SCHEMA",
 ]

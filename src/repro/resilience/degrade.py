@@ -1,4 +1,4 @@
-"""Graceful degradation: the event log and the exact→AMVA→bounds ladder.
+"""Graceful degradation: the event log of the exact→AMVA→bounds ladder.
 
 Analytic-model reproductions are exactly where a degraded-but-bounded
 answer beats an exception or a hang (PPT-Multicore and the
@@ -7,28 +7,20 @@ its budgets, the caller falls to the next-coarser approximation —
 
     exact MVA  →  Schweitzer AMVA  →  operational (asymptotic) bounds
 
-— and *records* the fall.  Every retry/degradation lands in the
-process-local event log (drained into ``ExperimentResult.notes`` by the
-experiment runner) and, when telemetry is on, in the
-``resilience.retries`` / ``resilience.degradations`` counters, so a
-degraded run is never silently indistinguishable from a clean one.
-
-``qnet`` imports are deferred to call time: :mod:`repro.qnet.mva`
-imports this package's error types, and the package initialiser imports
-this module.
+— and *records* the fall.  The ladder itself is the flow solver's
+(``_ladder`` in :mod:`repro.runtime.flow`); this module keeps its
+record.  Every retry/degradation lands in the process-local event log
+(drained into ``ExperimentResult.notes`` by the experiment runner) and,
+when telemetry is on, in the ``resilience.retries`` /
+``resilience.degradations`` counters, so a degraded run is never
+silently indistinguishable from a clean one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.obs import names as _names, state as _obs_state
-from repro.resilience.errors import SolverError
-from repro.resilience.watchdog import DEFAULT_POLICY, ConvergencePolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the cycle
-    from repro.qnet.mva import ClosedNetwork, MVAResult
 
 
 @dataclass(frozen=True)
@@ -107,87 +99,3 @@ def peek_events() -> list[DegradationEvent]:
 def clear_events() -> None:
     """Discard any recorded-but-undrained events."""
     _EVENTS.clear()
-
-
-def _bounds_result(network: "ClosedNetwork", population: int) -> "MVAResult":
-    """An :class:`MVAResult` from operational bounds alone (last rung).
-
-    Throughput is the optimistic bound ``min(N/(D+Z), 1/D_max)`` —
-    exact in both the latency-limited and saturated asymptotes, at most
-    the queueing-free residences wrong at the knee.  Residences carry no
-    queueing (each station contributes its raw demand); queue lengths
-    follow from Little's law on those residences.
-    """
-    from repro.qnet.bounds import OperationalBounds
-    from repro.qnet.mva import MVAResult, QueueingStation
-
-    b = OperationalBounds.of(network)
-    x = b.throughput_upper(population)
-    demands = [s.demand for s in network.stations]
-    if population == 0 or x == 0.0:
-        zeros = tuple(0.0 for _ in demands)
-        return MVAResult(
-            population=population, throughput=0.0,
-            cycle_time=float(sum(demands)),
-            station_names=tuple(s.name for s in network.stations),
-            residence=tuple(demands), queue_lengths=zeros,
-            utilisations=zeros)
-    return MVAResult(
-        population=population,
-        throughput=x,
-        cycle_time=population / x,
-        station_names=tuple(s.name for s in network.stations),
-        residence=tuple(demands),
-        queue_lengths=tuple(x * d for d in demands),
-        utilisations=tuple(
-            min(x * s.demand, 1.0) if isinstance(s, QueueingStation) else 0.0
-            for s in network.stations),
-    )
-
-
-def solve_network(network: "ClosedNetwork", population: int,
-                  policy: ConvergencePolicy = DEFAULT_POLICY,
-                  site: str = "qnet.solve"
-                  ) -> tuple["MVAResult", str]:
-    """Solve a closed network, degrading through the ladder on failure.
-
-    Returns ``(result, stage)`` where ``stage`` names the rung that
-    produced the answer (``"exact"``, ``"schweitzer"`` or ``"bounds"``).
-    The exact recursion runs one iteration per customer, so its
-    iteration budget doubles as a population budget; Schweitzer runs
-    under the policy's iteration cap in strict mode; the bounds rung
-    cannot fail.  Each fall is recorded via :func:`record_event`.
-    """
-    from repro.qnet.mva import exact_mva, schweitzer_amva
-
-    from repro.resilience import faultinject
-
-    stages = list(policy.ladder)
-    last_error: SolverError | None = None
-    for i, stage in enumerate(stages):
-        next_stage = stages[i + 1] if i + 1 < len(stages) else None
-        try:
-            faultinject.maybe_fail_solver(site, attempt=i)
-            if stage == "exact":
-                if population > policy.max_iterations:
-                    raise SolverError(
-                        f"{site}: population {population} exceeds the "
-                        f"exact-MVA iteration budget "
-                        f"{policy.max_iterations}",
-                        code="solver.budget",
-                        site=site, population=population,
-                        budget=policy.max_iterations)
-                return exact_mva(network, population), stage
-            if stage == "schweitzer":
-                return schweitzer_amva(
-                    network, population,
-                    max_iter=policy.max_iterations, strict=True), stage
-            return _bounds_result(network, population), stage
-        except SolverError as exc:
-            last_error = exc
-            if next_stage is None:
-                raise
-            record_event(DegradationEvent(
-                site=site, action="degrade", from_stage=stage,
-                to_stage=next_stage, detail=exc.message))
-    raise last_error if last_error else AssertionError("empty ladder")

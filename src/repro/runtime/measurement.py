@@ -99,9 +99,9 @@ class MeasurementRun:
         and back-fills the flow cache, so the per-point :meth:`measure`
         calls that follow are memo hits.  Results are bit-identical to
         solving per point — both run the same flow driver — so this is
-        purely a wall-time optimisation.  A no-op when the perf cache
-        (``REPRO_PERF_CACHE``) is off: the per-point calls then solve
-        one cell each, bit-identically.
+        purely a wall-time optimisation.  A no-op when the perf caches
+        are off (:func:`repro.perf.set_enabled`): the per-point calls
+        then solve one cell each, bit-identically.
         """
         prime_runs([(self, core_counts)])
 

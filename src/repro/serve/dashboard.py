@@ -19,6 +19,7 @@ import html as _html
 from repro import obs
 from repro.obs import names
 from repro.obs.htmlreport import line_chart
+from repro.obs.tracing import count_spans
 
 _CSS = """
 body { font-family: Georgia, 'Times New Roman', serif; margin: 2em auto;
@@ -81,12 +82,12 @@ def _tiles(stats, slo: dict, uptime_s: float) -> str:
 
 def _charts(stats) -> str:
     xs_fast = list(range(-59, 1))
-    rate_fast = stats.latency_fast.series()
-    error_fast = stats.errors_fast.series()
+    rate_fast = stats.requests_fast.series()
+    error_fast = stats.requests_fast.error_series()
     p99s = [0.0 if q is None else q * 1e3
-            for q in stats.latency_fast.bucket_quantiles(0.99)]
+            for q in stats.requests_fast.bucket_quantiles(0.99)]
     xs_slow = list(range(-59, 1))
-    rate_slow = [v / 60.0 for v in stats.latency_slow.series()]
+    rate_slow = [v / 60.0 for v in stats.requests_slow.series()]
     charts = [
         line_chart(
             "Request rate (last 60 s)", xs_fast,
@@ -138,7 +139,7 @@ def _request_table(title: str, entries: list[dict]) -> str:
             "<th>path</th><th>status</th><th>duration</th>"
             "<th>spans</th></tr>"]
     for entry in entries:
-        spans = _count_spans(entry.get("trace"))
+        spans = count_spans(entry.get("trace"))
         rows.append(
             f'<tr><td class="id">{_esc(entry["request_id"])}</td>'
             f'<td>{_esc(entry["method"])}</td>'
@@ -150,12 +151,6 @@ def _request_table(title: str, entries: list[dict]) -> str:
         rows.append('<tr><td colspan="6">no requests recorded yet</td></tr>')
     rows.append("</table>")
     return "".join(rows)
-
-
-def _count_spans(trace: dict | None) -> int:
-    if not trace:
-        return 0
-    return 1 + sum(_count_spans(c) for c in trace.get("children", ()))
 
 
 def render_dashboard(server) -> str:

@@ -7,11 +7,12 @@ finished request is recorded.  Each :meth:`record` call feeds
 * the cumulative session metrics (``serve.requests`` total and per
   ``status_class``, the ``serve.request_seconds`` timer) — when a
   telemetry session is active;
-* the rolling windows (:mod:`repro.obs.window`): a latency histogram
-  and a 5xx counter over a fast 60×1 s ring and a slow 60×1 m ring.
-  They are the only windowed record of a request: the ``/metrics``
-  request rates and the SLO burn rates (:mod:`repro.obs.slo`) behind
-  the ``degraded`` state on ``/healthz`` read them;
+* the rolling windows (:mod:`repro.obs.window`): a fast 60×1 s ring
+  and a slow 60×1 m ring, each slot holding its requests' latency bins
+  and 5xx count.  They are the only windowed record of a request: the
+  ``/metrics`` request rates and the SLO burn rates
+  (:mod:`repro.obs.slo`) behind the ``degraded`` state on ``/healthz``
+  read them;
 * a bounded ring of recent and slowest requests — each entry carrying
   its ``request_id`` and, for traced requests, the detached span tree
   — behind ``/debug/requests``.
@@ -33,7 +34,7 @@ from typing import Callable
 from repro import obs
 from repro.obs import names
 from repro.obs.slo import SLOTracker
-from repro.obs.window import WINDOW_SCHEMA, RollingCounter, RollingHistogram
+from repro.obs.window import WINDOW_SCHEMA, RollingHistogram
 
 #: How many recent / slowest requests ``/debug/requests`` retains.
 REQUEST_LOG_SIZE = 128
@@ -104,14 +105,11 @@ class ServiceTelemetry:
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
-        self.errors_fast = RollingCounter(names.WINDOW_ERRORS, 1.0, 60, clock)
-        self.errors_slow = RollingCounter(names.WINDOW_ERRORS, 60.0, 60, clock)
-        self.latency_fast = RollingHistogram(
+        self.requests_fast = RollingHistogram(
             names.WINDOW_LATENCY_SECONDS, 1.0, 60, clock)
-        self.latency_slow = RollingHistogram(
+        self.requests_slow = RollingHistogram(
             names.WINDOW_LATENCY_SECONDS, 60.0, 60, clock)
-        self.slo = SLOTracker((self.latency_fast, self.latency_slow),
-                              (self.errors_fast, self.errors_slow))
+        self.slo = SLOTracker((self.requests_fast, self.requests_slow))
         self.request_log = RequestLog()
         self._eval_epoch: int | None = None
         # The session instruments, bound on the first record of a session.
@@ -148,11 +146,8 @@ class ServiceTelemetry:
             by_class.inc()
             self._seconds.observe(duration_s)
 
-        if error:
-            self.errors_fast.inc(1.0, now=now)
-            self.errors_slow.inc(1.0, now=now)
-        self.latency_fast.observe(duration_s, now=now)
-        self.latency_slow.observe(duration_s, now=now)
+        self.requests_fast.observe(duration_s, now, error)
+        self.requests_slow.observe(duration_s, now, error)
 
         self.request_log.add({
             "request_id": request_id,
@@ -195,22 +190,21 @@ class ServiceTelemetry:
         """The ``windows`` block ``/metrics`` serves next to the snapshot."""
         now = self._clock() if now is None else now
         out: dict = {"window_schema": WINDOW_SCHEMA}
-        for label, errors, latency in (
-                ("fast", self.errors_fast, self.latency_fast),
-                ("slow", self.errors_slow, self.latency_slow)):
-            summary = latency.summary(now=now)
+        for label, ring in (("fast", self.requests_fast),
+                            ("slow", self.requests_slow)):
+            summary = ring.summary(now=now)
             total = summary["count"]
-            errs = errors.total(now=now)
+            errs = sum(ring.error_series(now=now))
             out[label] = {
-                "bucket_s": latency.bucket_s,
-                "buckets": latency.buckets,
+                "bucket_s": ring.bucket_s,
+                "buckets": ring.buckets,
                 names.WINDOW_REQUESTS: {
                     "total": total,
-                    "rate_per_s": round(total / latency.span_s(now), 3),
-                    "series": [float(n) for n in latency.series(now=now)],
+                    "rate_per_s": round(total / ring.span_s(now), 3),
+                    "series": [float(n) for n in ring.series(now=now)],
                 },
                 names.WINDOW_ERRORS: {
-                    "total": int(errs),
+                    "total": errs,
                     "error_rate": round(errs / total, 6) if total else 0.0,
                 },
                 names.WINDOW_LATENCY_SECONDS: summary,

@@ -65,6 +65,21 @@ class TestGatedCounters:
         assert cr.gated_counters(
             {"metrics": {"snapshot_schema": 1, "instruments": None}}) == {}
 
+    def test_labelled_key_gated_like_drift(self):
+        # One predicate (repro.obs.drift) decides for both gates: the
+        # name before the labels is what is matched.
+        from repro.obs.drift import _gated_counters
+        metrics = {
+            "qnet.mva.exact.calls{x=y}": {"kind": "counter", "value": 3.0},
+            "perf.cache.flow.calls{x=y}": {"kind": "counter",
+                                           "value": 4.0},
+            "serve.requests{status_class=2xx}": {"kind": "counter",
+                                                 "value": 5.0},
+        }
+        want = {"qnet.mva.exact.calls{x=y}": 3.0}
+        assert cr.gated_counters({"metrics": metrics}) == want
+        assert _gated_counters(metrics) == want
+
 
 def old_record(calls=100.0, wall=1.0):
     """A record in the pre-environment-block schema: no ``environment``

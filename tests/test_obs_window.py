@@ -22,7 +22,7 @@ from repro.obs import names
 from repro.obs.log import DEFAULT_LOG_BUFFER, StructuredLog, parse_jsonl
 from repro.obs.slo import FAST_BURN, OBJECTIVES, SLObjective
 from repro.obs.tracing import Tracer
-from repro.obs.window import RollingCounter, RollingHistogram
+from repro.obs.window import RollingHistogram
 from repro.serve.stats import ServiceTelemetry
 
 
@@ -56,63 +56,69 @@ def record(stats: ServiceTelemetry, *, error: bool = False,
 
 
 class TestRollingCounter:
+    """The rolling 5xx count each request-ring slot keeps next to its bins."""
+
     def test_counts_within_the_window(self):
         clock = FakeClock()
-        counter = RollingCounter("window.requests", 1.0, 60, clock)
-        counter.inc()
-        counter.inc(2.0)
-        assert counter.total() == 3.0
+        ring = RollingHistogram("window.latency_seconds", 1.0, 60, clock)
+        ring.observe(0.001, error=True)
+        ring.observe(0.001)
+        ring.observe(0.002, error=True)
+        assert ring.counts(0.25) == (3, 0, 2)
 
     def test_old_buckets_age_out(self):
         clock = FakeClock()
-        counter = RollingCounter("window.requests", 1.0, 60, clock)
-        counter.inc(5.0)
+        ring = RollingHistogram("window.latency_seconds", 1.0, 60, clock)
+        for _ in range(5):
+            ring.observe(0.001, error=True)
         clock.advance(30)
-        counter.inc(1.0)
-        assert counter.total() == 6.0
+        ring.observe(0.001, error=True)
+        assert ring.counts(0.25)[2] == 6
         clock.advance(31)          # first bucket now outside the window
-        assert counter.total() == 1.0
+        assert ring.counts(0.25)[2] == 1
         clock.advance(30)          # second bucket gone too
-        assert counter.total() == 0.0
+        assert ring.counts(0.25) == (0, 0, 0)
 
     def test_slot_reuse_resets_stale_data(self):
         clock = FakeClock()
-        counter = RollingCounter("window.requests", 1.0, 4, clock)
-        counter.inc(9.0)
+        ring = RollingHistogram("window.latency_seconds", 1.0, 4, clock)
+        for _ in range(9):
+            ring.observe(0.001, error=True)
         clock.advance(4)           # same ring slot, four epochs later
-        counter.inc(1.0)
-        assert counter.total() == 1.0
+        ring.observe(0.001)
+        assert ring.counts(0.25) == (1, 0, 0)
+        assert ring.error_series() == [0, 0, 0, 0]
 
     def test_series_is_oldest_to_newest(self):
         clock = FakeClock()
-        counter = RollingCounter("window.requests", 1.0, 60, clock)
-        counter.inc(1.0)
+        ring = RollingHistogram("window.latency_seconds", 1.0, 60, clock)
+        ring.observe(0.001, error=True)
         clock.advance(2)
-        counter.inc(3.0)
-        series = counter.series()
+        for error in (True, True, True, False):
+            ring.observe(0.001, error=error)
+        series = ring.error_series()
         assert len(series) == 60
-        assert series[-1] == 3.0
-        assert series[-3] == 1.0
-        assert sum(series) == 4.0
+        assert series[-1] == 3
+        assert series[-2] == 0
+        assert series[-3] == 1
+        assert sum(series) == 4
+        assert ring.series()[-1] == 4
 
     def test_last_restricts_to_recent_buckets(self):
         clock = FakeClock()
-        counter = RollingCounter("window.requests", 1.0, 60, clock)
-        counter.inc(5.0)
+        ring = RollingHistogram("window.latency_seconds", 1.0, 60, clock)
+        for _ in range(5):
+            ring.observe(0.001, error=True)
         clock.advance(10)
-        counter.inc(1.0)
-        assert counter.total(last=5) == 1.0
-        assert counter.total() == 6.0
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            RollingCounter("window.requests").inc(-1.0)
+        ring.observe(0.001, error=True)
+        assert ring.counts(0.25, last=5) == (1, 0, 1)
+        assert ring.counts(0.25) == (6, 0, 6)
 
     @pytest.mark.parametrize("bucket_s,buckets", [(0.0, 60), (-1.0, 60),
                                                   (1.0, 1), (1.0, 0)])
     def test_bad_geometry_rejected(self, bucket_s, buckets):
         with pytest.raises(ValueError):
-            RollingCounter("window.requests", bucket_s, buckets)
+            RollingHistogram("window.latency_seconds", bucket_s, buckets)
 
 
 class TestRollingHistogram:
@@ -175,12 +181,12 @@ class TestRollingHistogram:
             hist.observe(v)
         clock.advance(10)
         hist.observe(0.3)
-        assert hist.counts(0.25) == (7, 5)
-        assert hist.counts(0.25, last=5) == (1, 1)
-        assert hist.counts(0.5) == (7, 2)
-        assert hist.counts(2.0 ** -30) == (7, 7)
+        assert hist.counts(0.25) == (7, 5, 0)
+        assert hist.counts(0.25, last=5) == (1, 1, 0)
+        assert hist.counts(0.5) == (7, 2, 0)
+        assert hist.counts(2.0 ** -30) == (7, 7, 0)
         clock.advance(60)
-        assert hist.counts(0.25) == (0, 0)
+        assert hist.counts(0.25) == (0, 0, 0)
 
     def test_merged_matches_cumulative_histogram_layout(self):
         clock = FakeClock()
@@ -320,27 +326,26 @@ class TestSLOTracker:
         assert len(tel.log.query(names.EVENT_SLO_RECOVERED)) == 1
         assert tel.metrics.snapshot()[key]["value"] == 0.0
 
-    def test_server_holds_four_rings_and_the_tracker_none(self,
-                                                          monkeypatch):
+    def test_server_holds_two_rings_and_the_tracker_none(self,
+                                                         monkeypatch):
         stats = ServiceTelemetry()
         rings = [v for v in vars(stats).values()
-                 if isinstance(v, (RollingCounter, RollingHistogram))]
-        assert len(rings) == 4
+                 if isinstance(v, RollingHistogram)]
+        assert len(rings) == 2
         assert not [v for v in vars(stats.slo).values()
-                    if isinstance(v, (RollingCounter, RollingHistogram))]
+                    if isinstance(v, RollingHistogram)]
 
         writes = []
-        for cls, method in ((RollingCounter, "inc"),
-                            (RollingHistogram, "observe")):
-            real = getattr(cls, method)
-            monkeypatch.setattr(
-                cls, method,
-                lambda self, *a, _real=real, **k: (writes.append(self),
-                                                   _real(self, *a, **k)))
+        real = RollingHistogram.observe
+        monkeypatch.setattr(
+            RollingHistogram, "observe",
+            lambda self, *a, **k: (writes.append(self),
+                                   real(self, *a, **k)))
         record(stats, status=200, duration_s=0.001)
         assert len(writes) == 2
         record(stats, status=503, duration_s=0.001)
-        assert len(writes) == 2 + 4
+        assert len(writes) == 2 + 2
+        assert sorted(map(id, writes[2:])) == sorted(map(id, rings))
 
 
 _JUMPS = [0.0, 0.01, 0.3, 0.99, 1.0, 4.5, 59.0, 61.0, 240.0, 299.0,
@@ -416,6 +421,13 @@ class TestRequestWindows:
                 == len(reqs)
             assert payload[label][names.WINDOW_ERRORS]["total"] \
                 == sum(status >= 500 for _, status, _ in reqs)
+        # The fast ring's per-second 5xx series: the dashboard's error
+        # chart, oldest second first.
+        cur = int(now // 1.0)
+        assert stats.requests_fast.error_series(now) == [
+            sum(status >= 500 for t, status, _ in windows["1m"]
+                if int(t // 1.0) == epoch)
+            for epoch in range(cur - 59, cur + 1)]
 
 
 class TestTraceContextPropagation:
@@ -521,13 +533,5 @@ class TestLogBufferCap:
         assert [r["i"] for r in records] == [0, 1, 2, 3, 4]
         assert log.dropped == 3
 
-    @pytest.mark.parametrize("env,want", [
-        ("10", 10), ("0", None), ("-5", None),
-        ("not-a-number", DEFAULT_LOG_BUFFER)])
-    def test_env_override(self, monkeypatch, env, want):
-        monkeypatch.setenv("REPRO_LOG_BUFFER", env)
-        assert StructuredLog().maxlen == want
-
-    def test_default_cap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LOG_BUFFER", raising=False)
+    def test_default_cap(self):
         assert StructuredLog().maxlen == DEFAULT_LOG_BUFFER

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import perf
 from repro.machine import CoreAllocation, amd_numa, intel_numa, intel_uma
-from repro.perf.cache import MemoCache, _env_enabled
+from repro.perf.cache import MemoCache
 from repro.perf.keys import cached_fingerprint, fingerprint, flow_key
 from repro.runtime.flow import solve_flow
 from test_flow_properties import make_profile, profiles
@@ -110,15 +110,6 @@ class TestMemoCache:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 2
 
-    def test_env_switch(self, monkeypatch):
-        for off in ("0", "false", ""):
-            monkeypatch.setenv("REPRO_PERF_CACHE", off)
-            assert _env_enabled() is False
-        monkeypatch.setenv("REPRO_PERF_CACHE", "1")
-        assert _env_enabled() is True
-        monkeypatch.delenv("REPRO_PERF_CACHE")
-        assert _env_enabled() is True
-
 
 class TestThreadSafety:
     def test_threaded_get_put_preserves_invariants(self):
@@ -184,7 +175,7 @@ class TestThreadSafety:
         pool = [threading.Thread(target=reader) for _ in range(4)]
         for t in pool:
             t.start()
-        # Shrink the live cache under load, as perf.configure() does.
+        # Evict from the live cache under load, as a full put does.
         for size in (32, 16, 8, 4):
             with cache._lock:
                 while len(cache._data) > size:

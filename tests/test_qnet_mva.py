@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
+from repro.obs import names
 from repro.qnet.mva import (
     ClosedNetwork,
     DelayStation,
     QueueingStation,
     _exact_recursion,
+    _station_arrays,
     exact_mva,
     schweitzer_amva,
+    schweitzer_throughputs,
 )
 from repro.qnet.repairman import MachineRepairman
+from repro.resilience.errors import ConvergenceError
 from repro.util.validation import ValidationError
 
 
@@ -167,6 +172,48 @@ class TestSchweitzer:
         assert net.solve(5, method="schweitzer").population == 5
         with pytest.raises(ValidationError):
             net.solve(5, method="bogus")
+
+    def test_one_network_is_one_batched_row(self):
+        # A scalar solve runs the batched iteration on one row: the
+        # same throughput, bit for bit, on random single-channel nets.
+        rng = np.random.default_rng(2011)
+        for _ in range(300):
+            stations = [QueueingStation(f"q{i}", float(rng.uniform(0.01, 5)),
+                                        scv=float(rng.uniform(0.0, 4.0)))
+                        for i in range(int(rng.integers(1, 7)))]
+            if rng.random() < 0.8:
+                stations.insert(int(rng.integers(0, len(stations) + 1)),
+                                DelayStation("z", float(rng.uniform(0, 20))))
+            n = int(rng.integers(1, 40))
+            demands, is_queue, scv = _station_arrays(stations)
+            x = schweitzer_throughputs(demands[None, :], is_queue[None, :],
+                                       scv[None, :], np.array([n]))
+            assert schweitzer_amva(ClosedNetwork(stations), n).throughput \
+                == x[0]
+
+    def test_unconverged_iterate_is_returned_and_counted(self):
+        net = ClosedNetwork([DelayStation("z", 8.0),
+                             QueueingStation("a", 1.0),
+                             QueueingStation("b", 0.5)])
+        converged = schweitzer_amva(net, 16)
+        tel = obs.enable(fresh=True)
+        try:
+            before = tel.metrics.counter(
+                names.QNET_MVA_SCHWEITZER_NONCONVERGED).value
+            stopped = schweitzer_amva(net, 16, max_iter=3)
+            after = tel.metrics.counter(
+                names.QNET_MVA_SCHWEITZER_NONCONVERGED).value
+        finally:
+            obs.disable()
+        assert after == before + 1
+        assert 0.0 < stopped.throughput != converged.throughput
+        # The batched entry refuses the same unconverged rows.
+        demands, is_queue, scv = _station_arrays(net.stations)
+        with pytest.raises(ConvergenceError,
+                           match="^batched schweitzer AMVA: no convergence "
+                                 "after 3 iterations"):
+            schweitzer_throughputs(demands[None, :], is_queue[None, :],
+                                   scv[None, :], np.array([16]), max_iter=3)
 
 
 class TestRepairman:

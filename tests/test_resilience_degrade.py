@@ -1,21 +1,18 @@
-"""Tests of the degradation event log and the exact→AMVA→bounds ladder."""
+"""Tests of the degradation event log and the flow solver's exact→AMVA→bounds
+ladder."""
 
 import pytest
 
 from repro import obs
 from repro.machine import CoreAllocation
 from repro.obs import names
-from repro.qnet.bounds import OperationalBounds
-from repro.qnet.mva import ClosedNetwork, DelayStation, QueueingStation
 from repro.resilience import (
-    ConvergencePolicy,
     DegradationEvent,
     clear_events,
     drain_events,
     faultinject,
     peek_events,
     record_event,
-    solve_network,
 )
 from repro.runtime.flow import solve_flow
 from repro.workloads import get_workload
@@ -26,13 +23,6 @@ def _clean_event_log():
     clear_events()
     yield
     clear_events()
-
-
-def _net(think=10.0, demand=1.0):
-    return ClosedNetwork([
-        DelayStation("think", think),
-        QueueingStation("server", demand),
-    ])
 
 
 class TestEventLog:
@@ -68,44 +58,6 @@ class TestEventLog:
             assert names.RESILIENCE_DEGRADATIONS in keys
         finally:
             obs.disable()
-
-
-class TestSolveNetworkLadder:
-    def test_clean_solve_is_exact(self):
-        result, stage = solve_network(_net(), 8)
-        assert stage == "exact"
-        assert result.throughput == pytest.approx(
-            _net().solve(8).throughput)
-        assert drain_events() == []
-
-    def test_population_budget_degrades_to_schweitzer(self):
-        # 50 customers exceed the exact recursion's iteration budget, but
-        # 40 iterations are plenty for the Schweitzer fixed point.
-        policy = ConvergencePolicy(max_iterations=40)
-        result, stage = solve_network(_net(), 50, policy=policy)
-        assert stage == "schweitzer"
-        exact = _net().solve(50)
-        assert result.throughput == pytest.approx(exact.throughput, rel=0.05)
-        events = drain_events()
-        assert [e.action for e in events] == ["degrade"]
-        assert (events[0].from_stage, events[0].to_stage) == \
-            ("exact", "schweitzer")
-
-    def test_injected_faults_walk_the_whole_ladder(self):
-        with faultinject.inject(nonconverge={"qnet.solve": 2}):
-            result, stage = solve_network(_net(), 8)
-        assert stage == "bounds"
-        assert [e.to_stage for e in drain_events()] == \
-            ["schweitzer", "bounds"]
-        # The bounds rung stays within the operational envelope.
-        bounds = OperationalBounds.of(_net())
-        assert result.throughput == pytest.approx(
-            bounds.throughput_upper(8))
-
-    def test_bounds_rung_cannot_fail(self):
-        with faultinject.inject(nonconverge={"qnet.solve": 2}):
-            result, _ = solve_network(_net(), 0)
-        assert result.throughput == 0.0
 
 
 class TestFlowDegradation:
