@@ -11,8 +11,10 @@ the run regressed:
   the threshold (default 25%).  These are machine-independent, so they
   gate unconditionally.
 * **Wall time** — gated with the same threshold, but *only* when the
-  fresh record and the baseline carry the same ``environment.hostname``;
-  cross-machine wall times are reported as warnings instead of failures.
+  fresh record and the baseline carry the same ``environment.hostname``
+  and ``environment.cpu_count``; wall times from another host, or from
+  the same host with another CPU count, are reported as warnings
+  instead of failures.
 * **Per-cell solve latency** — the ``latency.*`` p99 percentiles (flow
   solves, MVA solves/batches) are gated like wall time: same-host
   only.  The histograms behind them bucket at powers of two, so a p99
@@ -129,19 +131,26 @@ def latency_p99s(record: dict) -> dict[str, float]:
     return out
 
 
-def _same_host(baseline: dict, fresh: dict) -> bool:
-    """True only when both records carry the same non-null hostname.
+def _host_mismatch(baseline: dict, fresh: dict) -> str | None:
+    """Why the two records' timings are not comparable, or ``None``.
 
-    Records predating the ``environment`` block (or with it set to
-    null) compare as different hosts, so their wall times are warned
-    about rather than gated.
+    They are comparable only when both carry the same non-null hostname
+    and the same CPU count.  Records predating the ``environment`` block
+    (or with it set to null) compare as different hosts, so their wall
+    times are warned about rather than gated.
     """
     base_env = baseline.get("environment")
     fresh_env = fresh.get("environment")
     if not isinstance(base_env, dict) or not isinstance(fresh_env, dict):
-        return False
+        return "different host"
     base_host = base_env.get("hostname")
-    return base_host is not None and base_host == fresh_env.get("hostname")
+    if base_host is None or base_host != fresh_env.get("hostname"):
+        return "different host"
+    base_cpus, fresh_cpus = base_env.get("cpu_count"), \
+        fresh_env.get("cpu_count")
+    if base_cpus != fresh_cpus:
+        return f"different CPU count {base_cpus} -> {fresh_cpus}"
+    return None
 
 
 def compare_records(baseline: dict, fresh: dict,
@@ -186,13 +195,13 @@ def compare_records(baseline: dict, fresh: dict,
     lock = 1.0 - threshold
     base_wall = baseline.get("wall_time_s")
     fresh_wall = fresh.get("wall_time_s")
-    same_host = _same_host(baseline, fresh)
+    mismatch = _host_mismatch(baseline, fresh)
     if base_wall and fresh_wall:
         ratio = fresh_wall / base_wall
         line = (f"{name}: wall time {base_wall:.3f}s -> {fresh_wall:.3f}s "
                 f"({ratio:.2f}x)")
-        if not same_host:
-            warnings.append(line + " [different host: not gated]")
+        if mismatch:
+            warnings.append(line + f" [{mismatch}: not gated]")
         elif ratio > limit:
             failures.append(line + f" > {limit:.2f}x allowed")
         elif ratio < lock:
@@ -221,8 +230,8 @@ def compare_records(baseline: dict, fresh: dict,
         # One power-of-two histogram bucket of p99 drift is measurement
         # resolution, not a regression; only fail beyond it.
         lat_limit = max(limit, 2.0)
-        if not same_host:
-            warnings.append(line + " [different host: not gated]")
+        if mismatch:
+            warnings.append(line + f" [{mismatch}: not gated]")
         elif ratio > lat_limit:
             failures.append(line + f" > {lat_limit:.2f}x allowed")
         elif ratio > limit:

@@ -139,8 +139,11 @@ class Histogram:
         self.bins[e] = self.bins.get(e, 0) + 1
         self.count += 1
         self.sum += v
-        self.min = v if self.min is None else min(self.min, v)
-        self.max = v if self.max is None else max(self.max, v)
+        # What min() and max() keep, without calling them.
+        if self.min is None or v < self.min:
+            self.min = v
+        if self.max is None or v > self.max:
+            self.max = v
 
     @property
     def mean(self) -> float:

@@ -121,6 +121,21 @@ class Tracer:
                 return span.labels[key]
         return None
 
+    def now(self) -> float:
+        """Seconds since the epoch, read as :meth:`Span.__enter__` reads it."""
+        return self._clock() - self.epoch
+
+    def leaf(self, name: str, start: float, **labels) -> dict:
+        """:meth:`Span.to_dict` of a childless span from ``start`` to now.
+
+        ``start`` is a :meth:`now`.  No :class:`Span` is made, so the tree
+        joins no forest or open-span stack: it has no parent and needs no
+        :meth:`detach_root`.  A response-memo hit's trace is built so.
+        """
+        return {"name": name, "labels": labels, "start_s": start,
+                "duration_s": self._clock() - self.epoch - start,
+                "children": []}
+
     def detach_root(self, span: Span) -> bool:
         """Remove a finished root span from the forest.
 

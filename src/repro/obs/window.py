@@ -18,11 +18,13 @@ therefore the whole windowed record of a request.
 Clocks are injectable (``time.monotonic`` by default) and every read
 method accepts an explicit ``now``, which is what lets tests inject an
 old latency spike and watch it age out without sleeping.
+
+A ring takes no lock: one owner thread writes and reads it (for
+``repro serve``, the server's event loop).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable
 
@@ -41,7 +43,8 @@ class RollingHistogram:
 
     Slot ``epoch % buckets`` holds data for epoch ``floor(now /
     bucket_s)``; a slot whose stored epoch has fallen out of the live
-    window is reset on next use and skipped on reads.
+    window is reset on next use and skipped on reads.  Not thread-safe:
+    only the owning thread may call it.
     """
 
     def __init__(self, name: str, bucket_s: float = 1.0, buckets: int = 60,
@@ -56,7 +59,6 @@ class RollingHistogram:
         self._clock = clock
         self._created = clock()
         self._slots: list = [None] * self.buckets
-        self._lock = threading.Lock()
 
     @property
     def window_s(self) -> float:
@@ -67,7 +69,7 @@ class RollingHistogram:
         return int(now // self.bucket_s)
 
     def _live(self, now: float, last: int | None = None) -> list:
-        """Live slot payloads, oldest first (a snapshot, not a view).
+        """Live slot payloads, oldest first.
 
         ``last`` restricts to the most recent ``last`` buckets — how the
         SLO tracker carves a 5 m sub-window out of the 1 h ring.
@@ -75,11 +77,10 @@ class RollingHistogram:
         span = self.buckets if last is None else min(last, self.buckets)
         cur = self._epoch(now)
         out = []
-        with self._lock:
-            for epoch in range(cur - span + 1, cur + 1):
-                slot = self._slots[epoch % self.buckets]
-                if slot is not None and slot[0] == epoch:
-                    out.append(slot)
+        for epoch in range(cur - span + 1, cur + 1):
+            slot = self._slots[epoch % self.buckets]
+            if slot is not None and slot[0] == epoch:
+                out.append(slot)
         return out
 
     def span_s(self, now: float) -> float:
@@ -97,22 +98,22 @@ class RollingHistogram:
                 error: bool = False) -> None:
         """Record one request of duration ``v``; ``error`` if it was a 5xx."""
         now = self._clock() if now is None else now
-        epoch = self._epoch(now)
+        epoch = int(now // self.bucket_s)     # _epoch, inlined: per request
         idx = epoch % self.buckets
         e = Histogram.bin_index(v)
-        with self._lock:
-            slot = self._slots[idx]
-            if slot is None or slot[0] != epoch:
-                self._slots[idx] = slot = [epoch, {}, 0, 0.0, v, v, 0]
-            slot[1][e] = slot[1].get(e, 0) + 1
-            slot[2] += 1
-            slot[3] += v
-            if v < slot[4]:
-                slot[4] = v
-            if v > slot[5]:
-                slot[5] = v
-            if error:
-                slot[6] += 1
+        slot = self._slots[idx]
+        if slot is None or slot[0] != epoch:
+            self._slots[idx] = slot = [epoch, {}, 0, 0.0, v, v, 0]
+        bins = slot[1]
+        bins[e] = bins.get(e, 0) + 1
+        slot[2] += 1
+        slot[3] += v
+        if v < slot[4]:
+            slot[4] = v
+        if v > slot[5]:
+            slot[5] = v
+        if error:
+            slot[6] += 1
 
     def merged(self, now: float | None = None,
                last: int | None = None) -> Histogram:
@@ -159,11 +160,10 @@ class RollingHistogram:
         now = self._clock() if now is None else now
         cur = self._epoch(now)
         out = [0] * self.buckets
-        with self._lock:
-            for i, epoch in enumerate(range(cur - self.buckets + 1, cur + 1)):
-                slot = self._slots[epoch % self.buckets]
-                if slot is not None and slot[0] == epoch:
-                    out[i] = slot[field]
+        for i, epoch in enumerate(range(cur - self.buckets + 1, cur + 1)):
+            slot = self._slots[epoch % self.buckets]
+            if slot is not None and slot[0] == epoch:
+                out[i] = slot[field]
         return out
 
     def series(self, now: float | None = None) -> list[int]:
@@ -183,10 +183,8 @@ class RollingHistogram:
         now = self._clock() if now is None else now
         cur = self._epoch(now)
         out: list[float | None] = [None] * self.buckets
-        with self._lock:
-            slots = list(self._slots)
         for i, epoch in enumerate(range(cur - self.buckets + 1, cur + 1)):
-            slot = slots[epoch % self.buckets]
+            slot = self._slots[epoch % self.buckets]
             if slot is None or slot[0] != epoch or not slot[2]:
                 continue
             hist = Histogram(self.name)

@@ -8,10 +8,11 @@ any closed interactive system obeys (Denning & Buzen's operational laws)
     ``X(N) >= N / (N D + Z)``          (pessimistic: full queueing)
     ``R(N) >= max(D, N D_max - Z)``
 
-The test suite checks every MVA solution against these bounds, and the
-capacity-planning example uses the knee ``N* = (D + Z) / D_max`` — the
-population where the optimistic bounds cross — as a first estimate of
-the worthwhile core count.
+The test suite checks every MVA solution against these bounds.  The
+knee ``N* = (D + Z) / D_max`` is the population where the optimistic
+bounds cross.  ``examples/capacity_planning.py`` does not use it: it
+takes its knee from the fitted contention model, as the largest core
+count whose efficiency ``C(1) / C(n)`` is still at least 50%.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ stamped on the ``serve.request`` span.  A ``/predict`` or ``/recommend``
 body is first looked up, before JSON decoding, in
 :data:`repro.perf.response_cache` under (path, SHA-256 of the raw
 body): a hit is answered with the stored bytes inside
-``data_received`` — one span, one outcome counter, one record and one
-``transport.write``, and no task, future or timer.  A miss runs its
+``data_received`` — one outcome counter, a one-node trace, one record
+and one ``transport.write``, and no task, future, timer or span
+object.  A miss runs its
 handler on a small thread pool (``run_in_executor``) under
 ``contextvars.copy_context()``, so a cold solve never stalls framing,
 and spans the solver opens in a pool thread parent to the dispatching
@@ -33,7 +34,8 @@ the memo is neither read nor filled.
 Every response path — including malformed-framing rejections — is
 recorded exactly once on the server's
 :class:`~repro.serve.stats.ServiceTelemetry`, so windowed error rates
-have trustworthy denominators.
+have trustworthy denominators.  Only the server's event-loop thread
+writes and reads it, so it takes no lock.
 
 Connections (:class:`_Connection`):
 
@@ -220,10 +222,10 @@ class PredictionServer:
     def _handle_post(self, path: str, raw: bytes, request_id: str):
         """Answer one POST from the response memo, or hand it to the pool.
 
-        The memo is looked up once, before JSON decoding.  A hit is
-        answered inside the ``serve.request`` span (which carries the
-        ``request_id`` label), bumping the outcome counter the handler
-        would; an undecodable body is a 400 here; anything else is
+        The memo is looked up once, before JSON decoding.  A hit bumps
+        the outcome counter the handler would, timed as a one-node
+        ``serve.request`` trace (``Tracer.leaf``: nothing nests under
+        it); an undecodable body is a 400 here; anything else is
         returned as the coroutine :meth:`_solve`.
         """
         if path == "/predict":
@@ -235,10 +237,14 @@ class PredictionServer:
             key = (path, hashlib.sha256(raw).digest())
             answer = response_cache.get(key)
             if answer is not MISS:
-                with obs.span("serve.request", request_id=request_id,
-                              path=path) as req_span:
-                    obs.counter(counter)
-                return 200, answer, _detached(req_span)
+                session = obs.session()
+                if session is None:
+                    return 200, answer, None
+                tracer = session.tracer
+                start = tracer.now()
+                session.metrics.counter(counter).inc()
+                return 200, answer, tracer.leaf(
+                    "serve.request", start, request_id=request_id, path=path)
         try:
             body = json.loads(raw.decode("utf-8")) if raw else None
         # json.loads raises RecursionError on over-deep nesting.

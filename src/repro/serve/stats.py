@@ -14,19 +14,22 @@ finished request is recorded.  Each :meth:`record` call feeds
   (:mod:`repro.obs.slo`) behind the ``degraded`` state on ``/healthz``
   read them;
 * a bounded ring of recent and slowest requests — each entry carrying
-  its ``request_id`` and, for traced requests, the detached span tree
-  — behind ``/debug/requests``.
+  its ``request_id`` and, for traced requests, the span tree — behind
+  ``/debug/requests``.
 
 Unlike the session metrics, the windows and the request ring live on
 the *server object*, so they work (and the dashboard renders) even when
 telemetry is disabled, and two servers in one process never mix
 streams.  The clock is injectable for tests.
+
+The server's event loop is the one thread that records
+(``_Connection._respond``) and reads (the ``GET`` routes, the
+dashboard) all of this, so none of it takes a lock.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
 import time
 from collections import deque
 from typing import Callable
@@ -44,16 +47,29 @@ REQUEST_LOG_SIZE = 128
 SLOW_REQUEST_S = 0.25
 
 
-def _slower_first(entry: dict) -> float:
-    return -entry["duration_s"]
+def _rounded_slower_first(entry: tuple) -> float:
+    return -round(entry[5], 6)
+
+
+def _as_dict(entry: tuple) -> dict:
+    """A request-ring entry as ``/debug/requests`` serves it."""
+    request_id, ts_unix, method, path, status, duration_s, trace = entry
+    return {"request_id": request_id, "ts_unix": round(ts_unix, 6),
+            "method": method, "path": path, "status": status,
+            "duration_s": round(duration_s, 6), "trace": trace}
 
 
 class RequestLog:
     """Bounded ring of recent requests plus a bounded slowest-N board.
 
-    The board is kept in descending duration, ties in arrival order:
-    what appending, stable-sorting and truncating would retain, at the
-    cost of one comparison for a request that does not make the board.
+    An entry is the tuple ``(request_id, ts_unix, method, path, status,
+    duration_s, trace)`` with raw times; reads return dicts with both
+    times rounded to 6 places.  The board is kept in descending rounded
+    duration, ties in arrival order: what appending, stable-sorting and
+    truncating those dicts would retain.  ``round`` is monotone, so a
+    request at or under the board's last raw duration is turned away by
+    one comparison; the rounded durations decide the rest, ties
+    included.  Not thread-safe: one owner thread calls it.
     """
 
     def __init__(self, size: int = REQUEST_LOG_SIZE) -> None:
@@ -61,42 +77,38 @@ class RequestLog:
             raise ValueError("request log size must be >= 1")
         self.size = size
         self.total = 0
-        self._recent: deque[dict] = deque(maxlen=size)
-        self._slowest: list[dict] = []
-        self._lock = threading.Lock()
+        self._recent: deque[tuple] = deque(maxlen=size)
+        self._slowest: list[tuple] = []
 
-    def add(self, entry: dict) -> None:
-        with self._lock:
-            self.total += 1
-            self._recent.append(entry)
-            slowest = self._slowest
-            if len(slowest) == self.size:
-                if entry["duration_s"] <= slowest[-1]["duration_s"]:
-                    return
-                slowest.pop()
-            bisect.insort_right(slowest, entry, key=_slower_first)
+    def add(self, entry: tuple) -> None:
+        self.total += 1
+        self._recent.append(entry)
+        slowest = self._slowest
+        if len(slowest) == self.size:
+            last = slowest[-1][5]
+            if entry[5] <= last or round(entry[5], 6) <= round(last, 6):
+                return
+            slowest.pop()
+        bisect.insort_right(slowest, entry, key=_rounded_slower_first)
 
     def recent(self, limit: int | None = None) -> list[dict]:
         """Most recent requests, newest first."""
-        with self._lock:
-            out = list(reversed(self._recent))
-        return out[:limit] if limit else out
+        out = list(reversed(self._recent))
+        return [_as_dict(e) for e in (out[:limit] if limit else out)]
 
     def slowest(self, limit: int | None = None) -> list[dict]:
         """Slowest retained requests, slowest first."""
-        with self._lock:
-            out = list(self._slowest)
-        return out[:limit] if limit else out
+        out = self._slowest
+        return [_as_dict(e) for e in (out[:limit] if limit else out)]
 
     def find(self, request_id: str) -> dict | None:
         """Look a request up by id across both boards."""
-        with self._lock:
-            for entry in reversed(self._recent):
-                if entry["request_id"] == request_id:
-                    return entry
-            for entry in self._slowest:
-                if entry["request_id"] == request_id:
-                    return entry
+        for entry in reversed(self._recent):
+            if entry[0] == request_id:
+                return _as_dict(entry)
+        for entry in self._slowest:
+            if entry[0] == request_id:
+                return _as_dict(entry)
         return None
 
 
@@ -149,15 +161,8 @@ class ServiceTelemetry:
         self.requests_fast.observe(duration_s, now, error)
         self.requests_slow.observe(duration_s, now, error)
 
-        self.request_log.add({
-            "request_id": request_id,
-            "ts_unix": round(time.time(), 6),
-            "method": method,
-            "path": path,
-            "status": status,
-            "duration_s": round(duration_s, 6),
-            "trace": trace,
-        })
+        self.request_log.add((request_id, time.time(), method, path,
+                              status, duration_s, trace))
         if error or duration_s >= SLOW_REQUEST_S:
             obs.log_event(
                 names.EVENT_SERVE_REQUEST,

@@ -157,6 +157,30 @@ class TestCompareRecords:
         assert failures == []
         assert any("different host" in w for w in warnings)
 
+    def test_wall_gated_only_at_the_same_cpu_count(self):
+        def on_cpus(rec, cpus):
+            rec["environment"]["cpu_count"] = cpus
+            return rec
+
+        # Same host name, same CPU count: a slower wall time fails.
+        failures, _ = cr.compare_records(on_cpus(record(), 2),
+                                         on_cpus(record(wall=2.0), 2))
+        assert any("wall time" in f for f in failures)
+        # Same host name, other CPU count: it only warns, with the reason;
+        # a work counter still gates.
+        failures, warnings = cr.compare_records(
+            on_cpus(record(), 1), on_cpus(record(calls=200.0, wall=2.0), 2))
+        assert len(failures) == 1
+        assert "qnet.mva.exact.calls" in failures[0]
+        assert any("wall time" in w and "different CPU count 1 -> 2" in w
+                   for w in warnings)
+        failures, warnings = cr.compare_records(
+            on_cpus(latency_record(flow_p99=0.004), 1),
+            on_cpus(latency_record(flow_p99=0.04), 2))
+        assert failures == []
+        assert any("p99" in w and "different CPU count" in w
+                   for w in warnings)
+
     def test_missing_and_new_counters_warn(self):
         base = record(extra_metrics={
             "runtime.flow.solves": {"kind": "counter", "value": 7.0}})

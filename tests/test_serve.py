@@ -728,34 +728,61 @@ class TestRequestObservability:
 
 
 class TestRequestLog:
-    @staticmethod
-    def reference(entries, size):
-        """The board as append, stable sort and truncate would keep it."""
-        recent, slowest = [], []
-        for entry in entries:
-            recent = (recent + [entry])[-size:]
-            slowest = sorted(slowest + [entry],
-                             key=lambda e: -e["duration_s"])[:size]
-        return recent, slowest
+    """The request ring, filled through ``ServiceTelemetry.record``."""
+
+    # Pairs that tie only after rounding to 6 places, so the board's
+    # order within a pair is arrival order, never the raw durations'
+    # (and one duration that rounds to 0).
+    DURATIONS = [0.0010001, 0.0010004, 0.0020003, 0.0019998, 0.005,
+                 0.0050004, 0.2499999, 0.2500004, 0.0000004]
 
     @pytest.mark.parametrize("size", [1, 5, 128])
-    def test_matches_the_sort_and_truncate_reference(self, size):
+    def test_matches_the_sort_and_truncate_reference(self, size,
+                                                     monkeypatch):
         import random
+        import types
+
+        import repro.serve.stats as stats_mod
 
         rng = random.Random(20110913 + size)
-        # Few distinct durations, so ties are common at every rank.
-        entries = [{"request_id": f"r{i}",
-                    "duration_s": rng.choice([0.001, 0.002, 0.002, 0.005,
-                                              0.010, 0.010, 0.250])}
-                   for i in range(600)]
-        log = RequestLog(size)
-        for entry in entries:
-            log.add(entry)
-        recent, slowest = self.reference(entries, size)
-        assert log.total == len(entries)
-        assert log.slowest() == slowest
-        assert log.recent() == list(reversed(recent))
-        assert log.find(slowest[-1]["request_id"]) is slowest[-1]
+        # Wall-clock stamps with more than 6 decimals, one per record.
+        stamps = [1.7e9 + i * 0.0123456789 for i in range(600)]
+        monkeypatch.setattr(stats_mod, "time", types.SimpleNamespace(
+            time=iter(stamps).__next__))
+        stats = ServiceTelemetry(clock=FakeClock())
+        stats.request_log = RequestLog(size)
+        log = stats.request_log
+        # The reference: the dicts the ring serves, both times rounded
+        # to 6 places, kept by appending, stable-sorting on the rounded
+        # duration and truncating.
+        recent, slowest = [], []
+        for i, stamp in enumerate(stamps):
+            entry = {
+                "request_id": f"r{i}", "method": rng.choice(["GET", "POST"]),
+                "path": rng.choice(["/predict", "/recommend", "/healthz"]),
+                "status": rng.choice([200, 200, 400, 404, 500, 503]),
+                "duration_s": rng.choice(self.DURATIONS),
+                "trace": rng.choice([None, {"name": "serve.request",
+                                            "children": []}])}
+            stats.record(**entry)
+            entry = {**entry, "ts_unix": round(stamp, 6),
+                     "duration_s": round(entry["duration_s"], 6)}
+            recent = [entry] + recent[:size - 1]
+            slowest = sorted(slowest + [entry],
+                             key=lambda e: -e["duration_s"])[:size]
+            assert log.slowest() == slowest, i
+        assert log.total == len(stamps)
+        assert log.recent() == recent
+        assert log.recent(3) == recent[:3]
+        assert log.slowest(3) == slowest[:3]
+        assert stats.debug_payload(limit=size) == {
+            "capacity": size, "total": len(stamps),
+            "recent": recent, "slowest": slowest}
+        for entry in recent + slowest:
+            assert log.find(entry["request_id"]) == entry
+            assert stats.debug_payload(request_id=entry["request_id"]) \
+                == {"request": entry}
+        assert log.find("r-none") is None
 
 
 async def close(writer) -> None:

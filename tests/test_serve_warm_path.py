@@ -4,9 +4,10 @@ A ``/predict`` or ``/recommend`` body whose exact answer is already in
 ``perf.response_cache`` is answered on the event loop with the stored
 bytes, before JSON decoding; every other body goes to the worker pool.
 These tests pin that routing, what fills the memo and what never does,
-the counters and the span a memo hit leaves, that memo and pool answers
-are byte-identical, and that the profile memo stays coherent under
-thread churn.
+the counters and the trace a memo hit leaves, that memo and pool answers
+are byte-identical, that the profile memo stays coherent under thread
+churn, and that any byte stream a connection is fed is answered without
+a 500, one record per answer, and closed.
 """
 
 import asyncio
@@ -21,6 +22,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.runtime.flow as flow_mod
 import repro.serve.http as http_mod
@@ -704,3 +706,93 @@ def test_threaded_hammer_is_bit_identical():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert perf.flow_cache.misses == flow_misses   # no cached cell was lost
+
+
+# -- framing fuzz ------------------------------------------------------------
+
+# JSON off the solver: an unknown machine is a 400 from the handler.
+_OFF_SOLVER = json.dumps({**PREDICT_BODY, "machine": "cray_1"}).encode()
+_BODIES = st.one_of(
+    st.just(_OFF_SOLVER),
+    st.integers(0, len(_OFF_SOLVER) - 1).map(lambda n: _OFF_SOLVER[:n]),
+    st.binary(max_size=64),                    # mostly not UTF-8 or JSON
+    st.sampled_from([3, 5_000]).map(lambda n: b"[" * n + b"]" * n),
+    st.sampled_from([b"[]", b"null", b'"x"', b"{}", b"\xff\xfe"]))
+_ROUTES = st.sampled_from([
+    ("POST", "/predict"), ("POST", "/recommend"), ("POST", "/predict/"),
+    ("POST", "/predict?x=1"), ("GET", "/healthz"), ("GET", "/events"),
+    ("GET", "/debug/requests?limit=x"), ("GET", "/debug/requests?id=no"),
+    ("GET", "/dashboard"), ("GET", "/predict"), ("PUT", "/nope")])
+_ODD_METHODS = st.one_of(
+    st.sampled_from(["get", "", "P OST", "HEAD", "BREW"]),
+    st.text(st.characters(min_codepoint=33, max_codepoint=126),
+            min_size=1, max_size=8))
+_ODD_PATHS = st.one_of(st.sampled_from(["*", "/", "/predict /x", ""]),
+                       st.text(max_size=30).map(lambda s: "/" + s))
+
+
+@st.composite
+def _requests(draw) -> bytes:
+    """One request: well framed unless it draws some oddities."""
+    (method, path), body = draw(_ROUTES), draw(_BODIES)
+    lengths = [str(len(body))]
+    headers = []
+    for odd in draw(st.lists(st.sampled_from(
+            ["method", "path", "length", "transfer", "pad"]),
+            max_size=3, unique=True)):
+        if odd == "method":
+            method = draw(_ODD_METHODS)
+        elif odd == "path":
+            path = draw(_ODD_PATHS)
+        elif odd == "length":      # none, repeated, signed, not digits, long
+            n = len(body)
+            lengths = draw(st.sampled_from([
+                [], [str(n)] * 2, [str(n), "0"], [f"+{n}"], [f"-{n}"],
+                ["five"], ["0x10"], [" "], ["\u0665"], ["1" * 5_000],
+                ["0" * 5_000 + str(n)], [str(n + 7)]]))
+        elif odd == "transfer":
+            headers.append("Transfer-Encoding: " + draw(
+                st.sampled_from(["chunked", "gzip", "", "x"])))
+        else:                      # a head over 16 KiB, or over 64 KiB
+            headers.append("X-Pad: " + "a" * draw(
+                st.sampled_from([(1 << 14) + 1, (1 << 16) + 1])))
+    if draw(st.booleans()):
+        headers.append("Connection: close")
+    head = "\r\n".join([f"{method} {path} HTTP/1.1", "Host: t",
+                         *(f"Content-Length: {v}" for v in lengths),
+                         *headers])
+    return head.encode("utf-8") + b"\r\n\r\n" + body
+
+
+class TestFramingFuzz:
+    """Any byte stream: no exception, no 500, one record per answer."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_requests(), min_size=1, max_size=4).map(b"".join),
+           st.lists(st.integers(0, 1 << 17), max_size=6))
+    def test_any_stream_is_answered_then_closed(self, stream, cuts):
+        edges = sorted({0, len(stream), *(c % len(stream) for c in cuts)})
+
+        async def main():
+            server = PredictionServer(port=0)
+            conn = http_mod._Connection(server)
+            transport = FakeTransport(conn)
+            conn.connection_made(transport)
+            for start, end in zip(edges, edges[1:]):
+                conn.data_received(stream[start:end])
+                while conn._pending is not None:    # a miss on the pool
+                    await conn._pending
+            conn.eof_received()
+            while conn._pending is not None:
+                await conn._pending
+            closed = transport.closing
+            conn.connection_lost(None)
+            return transport.writes, server.stats.request_log.total, closed
+
+        writes, recorded, closed = asyncio.run(main())
+        statuses = [int(w.split(b" ", 2)[1]) for w in writes]
+        assert all(w.startswith(b"HTTP/1.1 ") for w in writes)
+        assert 500 not in statuses
+        assert recorded == len(writes)
+        assert closed
