@@ -10,16 +10,18 @@ import pytest
 
 
 def test_exact_mva_48(benchmark):
-    from repro.qnet.mva import ClosedNetwork, DelayStation, QueueingStation
+    """The exact recursion at N = 48 on one think-plus-three-queue row.
 
-    net = ClosedNetwork([
-        DelayStation("think", 50.0),
-        QueueingStation("mc0", 1.0),
-        QueueingStation("mc1", 1.0),
-        QueueingStation("port", 0.4),
-    ])
-    result = benchmark(net.solve, 48)
-    assert result.throughput > 0
+    ``exact_throughputs_cells`` is the entry the flow solver's ladder
+    runs; no cache sits in front of it, so every round recurses.
+    """
+    from repro.qnet.mva import exact_throughputs_cells
+
+    row = (np.array([[50.0, 1.0, 1.0, 0.4]]),
+           np.array([[False, True, True, True]]),
+           np.ones((1, 4)), np.array([48]))
+    (x,) = benchmark(exact_throughputs_cells, [row])
+    assert x[0] > 0
 
 
 @pytest.mark.parametrize("preset, n", [

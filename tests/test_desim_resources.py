@@ -4,7 +4,6 @@ import pytest
 
 from repro.desim.engine import Simulator
 from repro.desim.resources import QueueStats, Server
-from repro.qnet.mm1 import MM1
 from repro.qnet.mmc import MMc
 from repro.util.validation import ValidationError
 
@@ -82,7 +81,7 @@ class TestAgainstTheory:
         sim = Simulator()
         srv = Server(sim)
         _drive_poisson(sim, srv, rng, lam, mu, n_jobs=40_000)
-        theory = MM1(lam, mu).mean_wait
+        theory = (lam / mu) / (mu - lam)  # M/M/1: Wq = rho/(mu - lam)
         assert srv.stats.mean_wait() == pytest.approx(theory, rel=0.10)
 
     def test_mm1_utilisation(self, rng):
@@ -125,7 +124,7 @@ class TestAgainstTheory:
 
         sim.process(gen())
         sim.run()
-        mm1 = MM1(lam, mu).mean_wait
+        mm1 = (lam / mu) / (mu - lam)
         assert srv.stats.mean_wait() == pytest.approx(mm1 / 2, rel=0.10)
 
 

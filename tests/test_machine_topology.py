@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine.bus import FrontSideBus
-from repro.machine.dram import DramTiming
+from repro.machine.dram import DramTiming, two_point_service_moments
 from repro.machine.interconnect import (
     Interconnect,
     amd_numa_interconnect,
@@ -199,6 +199,22 @@ class TestDramTiming:
         s = d.sample_service_ns(rng, 10_000)
         assert set(map(float, set(s.tolist()))) <= {10.0, 30.0}
         assert float(s.mean()) == pytest.approx(20.0, rel=0.05)
+
+
+class TestTwoPointService:
+    def test_two_point_moments(self):
+        mean, scv = two_point_service_moments(fast=1.0, slow=1.0, p_slow=0.5)
+        assert mean == 1.0
+        assert scv == 0.0
+
+    def test_two_point_mixture(self):
+        mean, scv = two_point_service_moments(fast=1.0, slow=3.0, p_slow=0.5)
+        assert mean == pytest.approx(2.0)
+        assert scv == pytest.approx(1.0 / 4.0)
+
+    def test_two_point_ordering_enforced(self):
+        with pytest.raises(ValidationError):
+            two_point_service_moments(fast=3.0, slow=1.0, p_slow=0.5)
 
 
 class TestBus:

@@ -1,4 +1,7 @@
-"""MVA tests: exact recursion, Schweitzer approximation, Seidmann pooling."""
+"""MVA tests: the batched exact recursion and the Schweitzer iteration
+the flow solver's ladder runs, checked against closed forms."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,11 +15,10 @@ from repro.qnet.mva import (
     QueueingStation,
     _exact_recursion,
     _station_arrays,
-    exact_mva,
+    exact_throughputs_cells,
     schweitzer_amva,
     schweitzer_throughputs,
 )
-from repro.qnet.repairman import MachineRepairman
 from repro.resilience.errors import ConvergenceError
 from repro.util.validation import ValidationError
 
@@ -28,62 +30,92 @@ def _simple_net(think=10.0, demand=1.0):
     ])
 
 
+def _row(think, *queues, scv=1.0):
+    """One chain row: a think (delay) station, then FCFS queues."""
+    demands = np.array([[think, *queues]])
+    is_queue = np.array([[False] + [True] * len(queues)])
+    scvs = np.array([[1.0] + [scv] * len(queues)])
+    return demands, is_queue, scvs
+
+
+def _exact(row, n):
+    """``(x, residence, q, u)`` of one row at population ``n``."""
+    x, residence, q, u = _exact_recursion(*row, np.array([n]))
+    return float(x[0]), residence[0], q[0], u[0]
+
+
+def _exact_x(row, n):
+    """One row's throughput through the entry the flow ladder runs."""
+    (x,) = exact_throughputs_cells([(*row, np.array([n]))])
+    return float(x[0])
+
+
+def _repairman(n, think_time, service_time):
+    """The M/M/1//N closed form: ``(throughput, mean response)``.
+
+    ``n`` customers think for an exponential ``think_time`` between
+    requests to one exponential server of mean ``service_time``.  The
+    number at the server has ``p_k ∝ N!/(N-k)! (s/z)^k`` for k = 0..N;
+    throughput is ``(1 - p_0)/s`` and the response ``R = N/X - Z``.
+    """
+    ratio = service_time / think_time
+    logs = [0.0]
+    for k in range(1, n + 1):
+        logs.append(logs[-1] + math.log((n - k + 1) * ratio))
+    top = max(logs)
+    weights = [math.exp(v - top) for v in logs]
+    x = (1.0 - weights[0] / sum(weights)) / service_time
+    return x, n / x - think_time
+
+
 class TestExactMVA:
     def test_population_one_no_queueing(self):
-        res = _simple_net().solve(1)
-        assert res.residence_of("server") == pytest.approx(1.0)
-        assert res.cycle_time == pytest.approx(11.0)
-        assert res.throughput == pytest.approx(1.0 / 11.0)
+        x, residence, _, _ = _exact(_row(10.0, 1.0), 1)
+        assert residence[1] == pytest.approx(1.0)
+        assert residence.sum() == pytest.approx(11.0)
+        assert x == pytest.approx(1.0 / 11.0)
 
     def test_population_zero(self):
-        res = _simple_net().solve(0)
-        assert res.throughput == 0.0
+        # A population-0 row keeps its initial values: no throughput.
+        x, _, q, _ = _exact(_row(10.0, 1.0), 0)
+        assert x == 0.0
+        assert q.sum() == 0.0
 
     def test_matches_machine_repairman(self):
         # Closed-form M/M/1//N must equal the MVA solution exactly.
+        row = _row(10.0, 1.0)
         for n in (1, 2, 5, 12, 30):
-            res = _simple_net(think=10.0, demand=1.0).solve(n)
-            rm = MachineRepairman(n, think_time=10.0, service_time=1.0)
-            assert res.throughput == pytest.approx(rm.throughput, rel=1e-9)
-            assert res.residence_of("server") == pytest.approx(
-                rm.mean_response, rel=1e-9)
+            x, response = _repairman(n, think_time=10.0, service_time=1.0)
+            assert _exact_x(row, n) == pytest.approx(x, rel=1e-9)
+            assert _exact(row, n)[1][1] == pytest.approx(response, rel=1e-9)
 
     def test_throughput_saturates_at_bottleneck(self):
-        res = _simple_net(think=1.0, demand=2.0).solve(50)
+        x, _, _, _ = _exact(_row(1.0, 2.0), 50)
         # X <= 1/D_max.
-        assert res.throughput <= 0.5 + 1e-12
-        assert res.throughput == pytest.approx(0.5, rel=1e-3)
+        assert x <= 0.5 + 1e-12
+        assert x == pytest.approx(0.5, rel=1e-3)
 
     def test_queue_lengths_sum_to_population(self):
-        net = ClosedNetwork([
-            DelayStation("z", 5.0),
-            QueueingStation("a", 1.0),
-            QueueingStation("b", 2.0),
-        ])
-        res = net.solve(7)
-        assert sum(res.queue_lengths) == pytest.approx(7.0)
+        _, _, q, _ = _exact(_row(5.0, 1.0, 2.0), 7)
+        assert q.sum() == pytest.approx(7.0)
 
     def test_utilisation_law(self):
-        res = _simple_net(think=5.0, demand=0.7).solve(4)
-        assert res.utilisation_of("server") == pytest.approx(
-            min(res.throughput * 0.7, 1.0))
+        x, _, _, u = _exact(_row(5.0, 0.7), 4)
+        assert u[1] == pytest.approx(min(x * 0.7, 1.0))
 
     @given(st.integers(1, 40), st.floats(0.5, 50.0), st.floats(0.1, 5.0))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_population(self, n, think, demand):
-        net = _simple_net(think, demand)
-        x_n = net.solve(n).throughput
-        x_n1 = net.solve(n + 1).throughput
+        row = _row(think, demand)
+        x_n = _exact(row, n)[0]
+        x_n1 = _exact(row, n + 1)[0]
         # Adding a customer never reduces throughput (exact MVA property).
         assert x_n1 >= x_n - 1e-12
 
     def test_scv_above_one_slows_station(self):
-        smooth = ClosedNetwork([
-            DelayStation("z", 5.0), QueueingStation("s", 1.0, scv=1.0)])
-        rough = ClosedNetwork([
-            DelayStation("z", 5.0), QueueingStation("s", 1.0, scv=5.0)])
-        assert rough.solve(8).residence_of("s") \
-            > smooth.solve(8).residence_of("s")
+        smooth = _exact(_row(5.0, 1.0, scv=1.0), 8)[1]
+        rough = _exact(_row(5.0, 1.0, scv=5.0), 8)[1]
+        assert rough[1] > smooth[1]
 
     def test_unknown_station_lookup(self):
         res = _simple_net().solve(2)
@@ -99,9 +131,10 @@ class TestExactMVA:
             ClosedNetwork([])
 
     def test_zero_demand_network_rejected(self):
-        net = ClosedNetwork([QueueingStation("s", 0.0)])
-        with pytest.raises(ValidationError):
-            net.solve(3)
+        block = (np.array([[0.0]]), np.array([[True]]), np.array([[1.0]]),
+                 np.array([3]))
+        with pytest.raises(ValidationError, match="zero total demand"):
+            exact_throughputs_cells([block])
 
     def test_batch_rows_get_their_solo_bits_in_any_order(self):
         # The batched recursion steps the rows still live at step k as a
@@ -153,19 +186,15 @@ class TestSeidmannMultiserver:
 class TestSchweitzer:
     @pytest.mark.parametrize("n", [1, 4, 16, 48])
     def test_close_to_exact(self, n):
-        net = ClosedNetwork([
-            DelayStation("z", 8.0),
-            QueueingStation("a", 1.0),
-            QueueingStation("b", 0.5),
-        ])
-        exact = exact_mva(net, n)
-        approx = schweitzer_amva(net, n)
+        row = _row(8.0, 1.0, 0.5)
+        approx = schweitzer_throughputs(*row, np.array([n]))[0]
         # Schweitzer's error peaks near the saturation knee (~5%).
-        assert approx.throughput == pytest.approx(
-            exact.throughput, rel=0.08)
+        assert approx == pytest.approx(_exact_x(row, n), rel=0.08)
 
     def test_population_zero(self):
-        assert schweitzer_amva(_simple_net(), 0).throughput == 0.0
+        # The batched entry takes populations >= 1 only.
+        with pytest.raises(ValidationError, match="populations must be >= 1"):
+            schweitzer_throughputs(*_row(10.0, 1.0), np.array([0]))
 
     def test_method_dispatch(self):
         net = _simple_net()
@@ -192,45 +221,49 @@ class TestSchweitzer:
                 == x[0]
 
     def test_unconverged_iterate_is_returned_and_counted(self):
-        net = ClosedNetwork([DelayStation("z", 8.0),
-                             QueueingStation("a", 1.0),
-                             QueueingStation("b", 0.5)])
-        converged = schweitzer_amva(net, 16)
+        # A row still moving after ``max_iter`` sweeps is counted in
+        # ``nonconverged`` and refused, so the ladder falls to bounds.
+        row = _row(8.0, 1.0, 0.5)
+        assert schweitzer_throughputs(*row, np.array([16]))[0] > 0.0
         tel = obs.enable(fresh=True)
         try:
             before = tel.metrics.counter(
                 names.QNET_MVA_SCHWEITZER_NONCONVERGED).value
-            stopped = schweitzer_amva(net, 16, max_iter=3)
+            with pytest.raises(ConvergenceError,
+                               match="^batched schweitzer AMVA: no "
+                                     "convergence after 3 iterations"):
+                schweitzer_throughputs(*row, np.array([16]), max_iter=3)
             after = tel.metrics.counter(
                 names.QNET_MVA_SCHWEITZER_NONCONVERGED).value
         finally:
             obs.disable()
         assert after == before + 1
-        assert 0.0 < stopped.throughput != converged.throughput
-        # The batched entry refuses the same unconverged rows.
-        demands, is_queue, scv = _station_arrays(net.stations)
-        with pytest.raises(ConvergenceError,
-                           match="^batched schweitzer AMVA: no convergence "
-                                 "after 3 iterations"):
-            schweitzer_throughputs(demands[None, :], is_queue[None, :],
-                                   scv[None, :], np.array([16]), max_iter=3)
 
 
 class TestRepairman:
+    """The M/M/1//N closed form and the exact entry, side by side."""
+
     def test_utilisation_bounds(self):
-        rm = MachineRepairman(10, think_time=1.0, service_time=1.0)
-        assert 0.0 < rm.utilisation < 1.0
+        # Utilisation X s with s = 1.
+        x, _ = _repairman(10, think_time=1.0, service_time=1.0)
+        assert 0.0 < x < 1.0
+        assert 0.0 < _exact_x(_row(1.0, 1.0), 10) < 1.0
 
     def test_interactive_response_law(self):
-        rm = MachineRepairman(6, think_time=10.0, service_time=1.0)
-        # R = N/X - Z holds by construction; check consistency instead:
-        assert rm.cycle_time == pytest.approx(6.0 / rm.throughput)
+        # N = X (Z + R): the solver's server residence is the closed
+        # form's response, and the two obey the same law.
+        x, response = _repairman(6, think_time=10.0, service_time=1.0)
+        sx, residence, _, _ = _exact(_row(10.0, 1.0), 6)
+        assert residence[1] == pytest.approx(response, rel=1e-9)
+        assert sx * (10.0 + residence[1]) == pytest.approx(6.0)
+        assert x * (10.0 + response) == pytest.approx(6.0)
 
     def test_heavy_load_saturation(self):
-        rm = MachineRepairman(100, think_time=0.1, service_time=1.0)
-        assert rm.utilisation == pytest.approx(1.0, abs=1e-6)
-        assert rm.throughput == pytest.approx(1.0, abs=1e-6)
+        x, _ = _repairman(100, think_time=0.1, service_time=1.0)
+        assert x == pytest.approx(1.0, abs=1e-6)
+        assert _exact_x(_row(0.1, 1.0), 100) == pytest.approx(1.0, abs=1e-6)
 
     def test_light_load_no_contention(self):
-        rm = MachineRepairman(1, think_time=100.0, service_time=1.0)
-        assert rm.mean_response == pytest.approx(1.0, rel=1e-6)
+        _, response = _repairman(1, think_time=100.0, service_time=1.0)
+        assert response == pytest.approx(1.0, rel=1e-6)
+        assert _exact(_row(100.0, 1.0), 1)[1][1] == pytest.approx(1.0)

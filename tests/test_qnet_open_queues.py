@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.uniproc import ModelError
 from repro.qnet.gg1 import (
     allen_cunneen_wait,
     gg1_response,
@@ -13,6 +14,7 @@ from repro.qnet.mg1 import MG1, two_point_service_moments
 from repro.qnet.mm1 import MM1, creq
 from repro.qnet.mmc import MMc, erlang_c, mmc_wait_approx
 from repro.util.validation import ValidationError
+from test_model_edges import _model
 
 
 class TestMM1:
@@ -58,18 +60,22 @@ class TestMM1:
         assert not MM1.is_stable(0.0, 1.0)
 
     def test_creq_is_paper_equation_five(self):
-        # Creq = 1/(mu - lam), the paper's service-time law.
-        assert creq(mu=2.0, lam=1.0) == pytest.approx(1.0)
-        with pytest.raises(ValidationError):
-            creq(mu=1.0, lam=1.0)
+        # Creq(n) = 1/(mu - n L), the paper's service-time law, as the
+        # fitted model computes it.
+        model = _model(mu=1.0, ell=0.1)
+        for n in range(1, 10):
+            assert model.creq(n) == 1.0 / (model.mu - n * model.ell)
+        assert model.creq(5) == pytest.approx(2.0)
+        with pytest.raises(ModelError, match="saturated"):
+            model.creq(10)
 
 
 class TestMMc:
     def test_reduces_to_mm1(self):
         single = MMc(lam=0.5, mu=1.0, c=1)
-        ref = MM1(lam=0.5, mu=1.0)
-        assert single.mean_wait == pytest.approx(ref.mean_wait)
-        assert single.prob_wait == pytest.approx(ref.rho)
+        # M/M/1: Wq = rho/(mu - lam), and an arrival waits with P = rho.
+        assert single.mean_wait == pytest.approx((0.5 / 1.0) / (1.0 - 0.5))
+        assert single.prob_wait == pytest.approx(0.5)
 
     def test_erlang_c_known_value(self):
         # Classic: c=2, a=1 Erlang -> P(wait) = 1/3.

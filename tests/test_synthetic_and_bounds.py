@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.machine.caches import CacheConfig, SetAssociativeCache
 from repro.qnet.bounds import OperationalBounds
-from repro.qnet.mva import ClosedNetwork, DelayStation, QueueingStation
+from repro.qnet.mva import (
+    ClosedNetwork,
+    DelayStation,
+    QueueingStation,
+    bound_throughputs,
+    exact_throughputs_cells,
+    schweitzer_throughputs,
+)
 from repro.util.validation import ValidationError
 from repro.workloads.synthetic import (
     interleave,
@@ -80,6 +87,36 @@ class TestSyntheticStreams:
             zipf_stream(10, 4096, skew=1.0, rng=rng)
 
 
+def _row(think, queues, n):
+    """One scv = 1 chain row at population ``n``: think station first."""
+    width = 1 + len(queues)
+    return (np.array([[think, *queues]]),
+            np.array([[False] + [True] * len(queues)]),
+            np.ones((1, width)), np.array([n]))
+
+
+def _bounds(n, think, queues):
+    """``(X lower, X upper, R lower)``, computed here from D, D_max, Z.
+
+    Denning and Buzen's operational laws for a closed interactive system
+    with total queueing demand D, bottleneck demand D_max and think time
+    Z: ``N/(N D + Z) <= X(N) <= min(N/(D + Z), 1/D_max)`` and
+    ``R(N) >= max(D, N D_max - Z)``.  D is summed left to right from 0.
+    """
+    total = 0.0
+    for d in queues:
+        total += d
+    d_max = max(queues)
+    return (n / (n * total + think),
+            min(n / (total + think), 1.0 / d_max),
+            max(total, n * d_max - think))
+
+
+#: Population, think time and 1-5 queue demands of one row.
+_ROWS = (st.integers(1, 60), st.floats(0.5, 30.0),
+         st.lists(st.floats(0.1, 3.0), min_size=1, max_size=5))
+
+
 class TestOperationalBounds:
     def _net(self, think=10.0, demands=(1.0, 0.5)):
         stations = [DelayStation("z", think)]
@@ -97,23 +134,28 @@ class TestOperationalBounds:
         b = OperationalBounds.of(self._net())
         assert b.knee_population == pytest.approx(11.5)
 
-    @given(st.integers(1, 60), st.floats(0.5, 30.0),
-           st.floats(0.1, 3.0), st.floats(0.1, 3.0))
+    @given(*_ROWS)
     @settings(max_examples=60, deadline=None)
-    def test_mva_within_bounds(self, n, think, d1, d2):
-        net = self._net(think, (d1, d2))
-        b = OperationalBounds.of(net)
-        x = net.solve(n).throughput
-        assert x <= b.throughput_upper(n) * (1 + 1e-9)
-        assert x >= b.throughput_lower(n) * (1 - 1e-9)
+    def test_mva_within_bounds(self, n, think, queues):
+        row = _row(think, queues, n)
+        lower, upper, _ = _bounds(n, think, queues)
+        (exact,) = exact_throughputs_cells([row])
+        for x in (exact[0], schweitzer_throughputs(*row)[0]):
+            assert x <= upper * (1 + 1e-9)
+            assert x >= lower * (1 - 1e-9)
 
-    def test_response_bound(self):
-        net = self._net()
-        b = OperationalBounds.of(net)
-        for n in (1, 5, 20, 50):
-            res = net.solve(n)
-            r = res.cycle_time - b.think_time
-            assert r >= b.response_lower(n) * (1 - 1e-9)
+    @given(*_ROWS)
+    @settings(max_examples=60, deadline=None)
+    def test_response_bound(self, n, think, queues):
+        _, _, response_lower = _bounds(n, think, queues)
+        (x,) = exact_throughputs_cells([_row(think, queues, n)])
+        assert n / x[0] - think >= response_lower * (1 - 1e-9)
+
+    @given(*_ROWS)
+    @settings(max_examples=60, deadline=None)
+    def test_bound_rung_is_the_upper_bound(self, n, think, queues):
+        _, upper, _ = _bounds(n, think, queues)
+        assert bound_throughputs(*_row(think, queues, n))[0] == upper
 
     def test_zero_population(self):
         b = OperationalBounds.of(self._net())
