@@ -1,10 +1,10 @@
 """Discrete-event simulation engine.
 
 A compact, dependency-free DES kernel in the style of SimPy: an event heap,
-generator-based processes, FIFO servers with queueing statistics, and
-time-series monitors.  The memory-controller and bus models in
-:mod:`repro.machine` are built on these primitives, and the fine-grained
-burst sampler replays arrival processes generated here.
+generator-based processes and FIFO servers with queueing statistics.
+:mod:`repro.runtime.detailed` builds its request-level cross-check of the
+flow solver on these primitives, and the fine-grained burst sampler
+replays arrival processes generated here.
 
 Two usage styles are supported:
 
@@ -27,7 +27,6 @@ from repro.desim.arrivals import (
 )
 from repro.desim.engine import Interrupt, SimulationError, Simulator, Timeout
 from repro.desim.events import Event, EventQueue
-from repro.desim.monitors import CountMonitor, TimeSeriesMonitor
 from repro.desim.resources import QueueStats, Server
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "SimulationError",
     "Server",
     "QueueStats",
-    "TimeSeriesMonitor",
-    "CountMonitor",
     "ArrivalProcess",
     "PoissonArrivals",
     "DeterministicArrivals",

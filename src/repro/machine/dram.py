@@ -12,14 +12,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.qnet.mg1 import two_point_service_moments
 from repro.util.units import Frequency, ns_to_cycles
 from repro.util.validation import (
+    ValidationError,
     check_integer,
     check_nonnegative,
     check_positive,
     check_probability,
 )
+
+
+def two_point_service_moments(fast: float, slow: float,
+                              p_slow: float) -> tuple[float, float]:
+    """Mean and SCV of a two-point service time (row hit vs row conflict).
+
+    Returns ``(mean, scv)`` for service that takes ``fast`` with
+    probability ``1 - p_slow`` and ``slow`` with probability ``p_slow``.
+    """
+    check_positive("fast", fast)
+    check_positive("slow", slow)
+    if not 0.0 <= p_slow <= 1.0:
+        raise ValidationError(f"p_slow={p_slow} must be in [0, 1]")
+    if slow < fast:
+        raise ValidationError("slow service must be >= fast service")
+    mean = (1.0 - p_slow) * fast + p_slow * slow
+    second = (1.0 - p_slow) * fast ** 2 + p_slow * slow ** 2
+    var = second - mean ** 2
+    return mean, var / (mean ** 2)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ DIAG_INFLUENTIAL_POINTS = "diag.influential_points"
 LATENCY_FLOW_BATCH_SECONDS = "latency.flow.batch_seconds"
 LATENCY_FLOW_SOLVE_SECONDS = "latency.flow.solve_seconds"
 LATENCY_MVA_BATCH_SECONDS = "latency.mva.batch_seconds"
-LATENCY_MVA_SOLVE_SECONDS = "latency.mva.solve_seconds"
 
 # -- discrete-event engine ----------------------------------------------------
 DESIM_EVENTS_PROCESSED = "desim.events_processed"
@@ -52,7 +51,6 @@ PERF_BATCH_CELLS = "perf.batch.cells"
 PERF_BATCH_FALLBACKS = "perf.batch.fallbacks"
 
 # -- queueing solvers ---------------------------------------------------------
-QNET_GG1_CALLS = "qnet.gg1.calls"
 QNET_MMC_ERLANG_C_CALLS = "qnet.mmc.erlang_c_calls"
 QNET_MVA_EXACT_BATCHES = "qnet.mva.exact.batches"
 QNET_MVA_EXACT_CALLS = "qnet.mva.exact.calls"

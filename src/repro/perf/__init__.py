@@ -2,7 +2,7 @@
 
 ``repro.perf`` holds the content-addressed caches that let repeated
 analytical solves — identical (machine, profile, allocation) triples in
-``runtime.flow`` and identical closed networks in ``qnet.mva`` — return
+``runtime.flow``, and the per-chain MVA throughputs inside them — return
 previously computed results bit-identically instead of re-running the
 MVA recursions, plus the memo of calibrated profiles those solves key on
 and the memo of encoded ``repro serve`` answers.  Hit/miss/eviction
@@ -24,7 +24,7 @@ from repro.perf.cache import (
     response_cache,
     set_enabled,
 )
-from repro.perf.keys import fingerprint, flow_key, mva_key
+from repro.perf.keys import fingerprint, flow_key
 
 __all__ = [
     "MISS",
@@ -36,7 +36,6 @@ __all__ = [
     "flow_cache",
     "flow_key",
     "mva_cache",
-    "mva_key",
     "profile_cache",
     "response_cache",
     "set_enabled",

@@ -4,8 +4,8 @@ Four process-global caches back the fast path:
 
 * :data:`flow_cache` — full ``runtime.flow`` solutions, keyed on the
   content hash of (machine, profile, allocation);
-* :data:`mva_cache` — closed-network solutions: ``ClosedNetwork.solve``
-  results and the flow solver's internal per-chain throughputs;
+* :data:`mva_cache` — the flow solver's per-chain MVA throughputs,
+  under keys only :mod:`repro.runtime.flow` builds;
 * :data:`profile_cache` — calibrated memory profiles, keyed on
   (program, class, machine fingerprint), so equal requests share one
   profile object and its identity-memoized fingerprint;

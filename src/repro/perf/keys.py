@@ -120,20 +120,6 @@ def flow_key(profile, machine, alloc) -> str:
     ))
 
 
-def mva_key(stations, population: int, method: str) -> tuple:
-    """Cache key for one ``ClosedNetwork.solve`` input.
-
-    Station order and names matter (the result reports per-station
-    residence times by name), so the key preserves both.
-    """
-    return (
-        "mva", method, population,
-        tuple((type(s).__name__, s.name, s.demand,
-               getattr(s, "channels", 1), getattr(s, "scv", 1.0))
-              for s in stations),
-    )
-
-
 def clear_memo() -> None:
     """Drop the identity-memoized fingerprints (used by tests)."""
     _fingerprint_memo.clear()

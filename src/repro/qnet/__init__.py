@@ -1,55 +1,33 @@
 """Queueing-theory substrate.
 
-Closed-form and numeric solvers for the queueing systems this reproduction
-relies on:
+Solvers for the queueing systems the measurement substrate relies on:
 
-* open single-server queues — :mod:`repro.qnet.mm1` (the paper's model
-  primitive), :mod:`repro.qnet.mg1` (Pollaczek-Khinchine),
-  :mod:`repro.qnet.gg1` (Allen-Cunneen approximation used by the
-  flow-level measurement substrate to inject burstiness);
-* multi-server Erlang-C — :mod:`repro.qnet.mmc` (multi-channel memory
-  controllers);
-* closed networks — :mod:`repro.qnet.mva` exact and Schweitzer approximate
-  Mean Value Analysis, which is how the *simulated machine* computes cycle
-  counts: ``n`` cores cycle between a compute "think" state and queueing
-  at bus/controller/interconnect stations.
+* closed networks — the three batched entries of :mod:`repro.qnet.mva`
+  (exact MVA, Schweitzer approximate MVA, asymptotic bounds), which is
+  how the *simulated machine* computes cycle counts: ``n`` cores cycle
+  between a compute "think" state and queueing at
+  bus/controller/interconnect stations;
+* multi-server Erlang-C — :mod:`repro.qnet.mmc` (the multi-channel
+  memory controllers of the extended model, :mod:`repro.core.extended`).
 
 The analytical model in :mod:`repro.core` deliberately uses only the open
-M/M/1 form, exactly as the paper does; everything richer lives here and in
-the measurement substrate, which keeps the model-vs-measurement comparison
+M/M/1 form, exactly as the paper does, and computes it itself
+(:mod:`repro.core.uniproc`); everything richer lives here and in the
+measurement substrate, which keeps the model-vs-measurement comparison
 honest.
 """
 
-from repro.qnet.bounds import OperationalBounds
-from repro.qnet.gg1 import allen_cunneen_wait, gg1_wait
-from repro.qnet.mg1 import MG1
-from repro.qnet.mm1 import MM1
 from repro.qnet.mmc import MMc, erlang_c
 from repro.qnet.mva import (
-    ClosedNetwork,
-    DelayStation,
-    MVAResult,
-    QueueingStation,
-    Station,
-    exact_mva,
-    schweitzer_amva,
+    bound_throughputs,
+    exact_throughputs_cells,
+    schweitzer_throughputs,
 )
-from repro.qnet.repairman import MachineRepairman
 
 __all__ = [
-    "MM1",
+    "exact_throughputs_cells",
+    "schweitzer_throughputs",
+    "bound_throughputs",
     "MMc",
     "erlang_c",
-    "MG1",
-    "gg1_wait",
-    "allen_cunneen_wait",
-    "Station",
-    "QueueingStation",
-    "DelayStation",
-    "ClosedNetwork",
-    "MVAResult",
-    "exact_mva",
-    "schweitzer_amva",
-    "MachineRepairman",
-    "OperationalBounds",
 ]

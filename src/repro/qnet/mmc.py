@@ -8,7 +8,6 @@ smooth-traffic limit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.obs import names as _names, state as _obs_state
@@ -98,29 +97,3 @@ class MMc:
     def mean_number_in_system(self) -> float:
         """L = lam W (Little)."""
         return self.lam * self.mean_response
-
-    def equivalent_single_server_rate(self) -> float:
-        """Service rate of the single fast server with the same capacity.
-
-        The paper's model folds a multi-channel controller into one
-        aggregate ``mu``; this helper documents that reduction
-        (``c * mu``) and is used by the calibration code.
-        """
-        return self.c * self.mu
-
-
-def mmc_wait_approx(c: int, mu: float, lam: float) -> float:
-    """Sakasegawa's approximation to M/M/c Wq, used for non-integer c.
-
-    ``Wq ~= rho^(sqrt(2(c+1)) - 1) / (c mu (1 - rho))`` with
-    ``rho = lam/(c mu)``.  Accurate within a few percent over the range we
-    use; exact Erlang-C is preferred when ``c`` is an integer.
-    """
-    check_positive("mu", mu)
-    check_positive("lam", lam)
-    if c <= 0:
-        raise ValidationError("c must be > 0")
-    rho = lam / (c * mu)
-    if rho >= 1.0:
-        raise ValidationError(f"unstable: rho={rho} >= 1")
-    return rho ** (math.sqrt(2.0 * (c + 1.0)) - 1.0) / (c * mu * (1.0 - rho))

@@ -7,7 +7,6 @@ that keeps the domain modules small and uniform.
 
 from repro.util.rng import DEFAULT_SEED, resolve_rng, spawn_rng
 from repro.util.stats import (
-    RunningStats,
     coefficient_of_variation,
     geometric_mean,
     mean_relative_error,
@@ -53,7 +52,6 @@ __all__ = [
     "GIGA",
     "MICRO",
     "NANO",
-    "RunningStats",
     "relative_error",
     "mean_relative_error",
     "r_squared",

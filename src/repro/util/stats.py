@@ -1,82 +1,16 @@
 """Small statistics helpers used across measurement and validation code.
 
 Includes the two accuracy metrics the paper reports — per-point relative
-error and the R-squared of the 1/C(n) linearity (Table IV) — plus an online
-running-statistics accumulator for discrete-event monitors.
+error and the R-squared of the 1/C(n) linearity (Table IV).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.util.validation import ValidationError, check_positive
-
-
-class RunningStats:
-    """Welford online accumulator for mean/variance of a stream of samples.
-
-    Used by discrete-event monitors where storing every sample would be
-    prohibitive.  Numerically stable for long streams.
-    """
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, x: float) -> None:
-        """Fold one sample into the accumulator."""
-        self._n += 1
-        delta = x - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (x - self._mean)
-        if x < self._min:
-            self._min = x
-        if x > self._max:
-            self._max = x
-
-    def extend(self, xs: Sequence[float]) -> None:
-        """Fold a batch of samples into the accumulator."""
-        for x in xs:
-            self.add(x)
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        if self._n == 0:
-            raise ValidationError("RunningStats.mean undefined with no samples")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Sample (n-1) variance."""
-        if self._n < 2:
-            return 0.0
-        return self._m2 / (self._n - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        if self._n == 0:
-            raise ValidationError("RunningStats.minimum undefined with no samples")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        if self._n == 0:
-            raise ValidationError("RunningStats.maximum undefined with no samples")
-        return self._max
 
 
 def relative_error(predicted: float, measured: float) -> float:

@@ -6,9 +6,9 @@ from repro.obs import names
 def instrument(tel, tracer, cache_name):
     tel.metrics.counter("qnet.mva.exact.calls").inc()  # -> TEL001
     tel.metrics.timer(f"perf.cache.{cache_name}.s")  # -> TEL001 (f-string)
-    tel.metrics.counter(names.QNET_GG1_CALLS).inc()  # ok: catalogue constant
+    tel.metrics.counter(names.QNET_MMC_ERLANG_C_CALLS).inc()  # ok: catalogue constant
     leak = tracer.span("solve")  # -> TEL002
-    with tracer.span(names.QNET_GG1_CALLS):  # ok: span under with
+    with tracer.span(names.QNET_MMC_ERLANG_C_CALLS):  # ok: span under with
         pass
     return leak
 

@@ -32,8 +32,8 @@ def test_inline_suppressions_stay_rare_and_justified():
 
 
 def test_seeded_violation_fails_the_run(tmp_path):
-    victim = os.path.join(SRC, "qnet", "mm1.py")
-    seeded = tmp_path / "mm1_seeded.py"
+    victim = os.path.join(SRC, "qnet", "mmc.py")
+    seeded = tmp_path / "mmc_seeded.py"
     shutil.copyfile(victim, seeded)
     with open(seeded, "a", encoding="utf-8") as fh:
         fh.write("\nimport random\n\n\ndef _jitter():\n"

@@ -12,7 +12,6 @@ import pytest
 from repro.core.regression import linear_fit
 from repro.core.uniproc import ModelError, fit_single_processor
 from repro.counters.papi import CounterSample
-from repro.qnet.mm1 import MM1, creq
 from repro.runtime.flow import FlowResult
 from repro.util.validation import ValidationError
 
@@ -76,35 +75,6 @@ class TestSaturation:
         assert model.saturation_cores == math.inf
         assert model.predict_cycles(10_000) == pytest.approx(
             model.predict_cycles(1))
-
-
-class TestMM1Stability:
-    def test_is_stable_false_at_equality(self):
-        # lam == mu is the boundary: no stationary regime.
-        assert not MM1.is_stable(1.0, 1.0)
-
-    def test_is_stable_requires_positive_lam(self):
-        assert not MM1.is_stable(0.0, 1.0)
-        assert not MM1.is_stable(-1.0, 1.0)
-
-    def test_is_stable_just_below(self):
-        assert MM1.is_stable(1.0 - 1e-12, 1.0)
-
-    def test_construction_rejects_equality(self):
-        with pytest.raises(ValidationError, match="unstable"):
-            MM1(lam=1.0, mu=1.0)
-
-    def test_creq_rejects_equality(self):
-        with pytest.raises(ValidationError, match="saturated"):
-            creq(mu=1.0, lam=1.0)
-
-    def test_response_blows_up_towards_saturation(self):
-        # W = 1/(mu - lam) must grow without bound, never go negative.
-        prev = 0.0
-        for lam in (0.9, 0.99, 0.999999):
-            w = MM1(lam=lam, mu=1.0).mean_response
-            assert w > prev > -1.0
-            prev = w
 
 
 class TestNearDegenerateFit:

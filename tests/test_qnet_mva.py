@@ -10,24 +10,12 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.obs import names
 from repro.qnet.mva import (
-    ClosedNetwork,
-    DelayStation,
-    QueueingStation,
     _exact_recursion,
-    _station_arrays,
     exact_throughputs_cells,
-    schweitzer_amva,
     schweitzer_throughputs,
 )
 from repro.resilience.errors import ConvergenceError
 from repro.util.validation import ValidationError
-
-
-def _simple_net(think=10.0, demand=1.0):
-    return ClosedNetwork([
-        DelayStation("think", think),
-        QueueingStation("server", demand),
-    ])
 
 
 def _row(think, *queues, scv=1.0):
@@ -117,19 +105,6 @@ class TestExactMVA:
         rough = _exact(_row(5.0, 1.0, scv=5.0), 8)[1]
         assert rough[1] > smooth[1]
 
-    def test_unknown_station_lookup(self):
-        res = _simple_net().solve(2)
-        with pytest.raises(ValidationError):
-            res.residence_of("nope")
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValidationError):
-            ClosedNetwork([DelayStation("x", 1.0), DelayStation("x", 2.0)])
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(ValidationError):
-            ClosedNetwork([])
-
     def test_zero_demand_network_rejected(self):
         block = (np.array([[0.0]]), np.array([[True]]), np.array([[1.0]]),
                  np.array([3]))
@@ -157,32 +132,6 @@ class TestExactMVA:
                     assert got[i].tobytes() == want[0].tobytes()
 
 
-class TestSeidmannMultiserver:
-    def test_population_one_sees_full_demand(self):
-        net = ClosedNetwork([
-            DelayStation("z", 10.0),
-            QueueingStation("mc", 2.0, channels=2),
-        ])
-        res = net.solve(1)
-        # Seidmann: D/m queueing + D(m-1)/m delay = D at population 1.
-        assert res.residence_of("mc") == pytest.approx(2.0)
-
-    def test_multiserver_beats_single_at_load(self):
-        single = ClosedNetwork([
-            DelayStation("z", 1.0), QueueingStation("mc", 2.0, channels=1)])
-        dual = ClosedNetwork([
-            DelayStation("z", 1.0), QueueingStation("mc", 2.0, channels=2)])
-        assert dual.solve(16).throughput > single.solve(16).throughput
-
-    def test_collapse_preserves_station_names(self):
-        net = ClosedNetwork([
-            DelayStation("z", 1.0),
-            QueueingStation("mc", 2.0, channels=3),
-        ])
-        res = net.solve(4)
-        assert res.station_names == ("z", "mc")
-
-
 class TestSchweitzer:
     @pytest.mark.parametrize("n", [1, 4, 16, 48])
     def test_close_to_exact(self, n):
@@ -195,30 +144,6 @@ class TestSchweitzer:
         # The batched entry takes populations >= 1 only.
         with pytest.raises(ValidationError, match="populations must be >= 1"):
             schweitzer_throughputs(*_row(10.0, 1.0), np.array([0]))
-
-    def test_method_dispatch(self):
-        net = _simple_net()
-        assert net.solve(5, method="schweitzer").population == 5
-        with pytest.raises(ValidationError):
-            net.solve(5, method="bogus")
-
-    def test_one_network_is_one_batched_row(self):
-        # A scalar solve runs the batched iteration on one row: the
-        # same throughput, bit for bit, on random single-channel nets.
-        rng = np.random.default_rng(2011)
-        for _ in range(300):
-            stations = [QueueingStation(f"q{i}", float(rng.uniform(0.01, 5)),
-                                        scv=float(rng.uniform(0.0, 4.0)))
-                        for i in range(int(rng.integers(1, 7)))]
-            if rng.random() < 0.8:
-                stations.insert(int(rng.integers(0, len(stations) + 1)),
-                                DelayStation("z", float(rng.uniform(0, 20))))
-            n = int(rng.integers(1, 40))
-            demands, is_queue, scv = _station_arrays(stations)
-            x = schweitzer_throughputs(demands[None, :], is_queue[None, :],
-                                       scv[None, :], np.array([n]))
-            assert schweitzer_amva(ClosedNetwork(stations), n).throughput \
-                == x[0]
 
     def test_unconverged_iterate_is_returned_and_counted(self):
         # A row still moving after ``max_iter`` sweeps is counted in

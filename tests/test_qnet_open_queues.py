@@ -1,67 +1,18 @@
-"""Tests for the open queues: M/M/1, M/M/c, M/G/1, G/G/1."""
+"""Tests for the open queues: the model's M/M/1 law and M/M/c (Erlang-C)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.uniproc import ModelError
-from repro.qnet.gg1 import (
-    allen_cunneen_wait,
-    gg1_response,
-    gg1_wait,
-    klb_correction,
-)
-from repro.qnet.mg1 import MG1, two_point_service_moments
-from repro.qnet.mm1 import MM1, creq
-from repro.qnet.mmc import MMc, erlang_c, mmc_wait_approx
+from repro.qnet.mmc import MMc, erlang_c
 from repro.util.validation import ValidationError
 from test_model_edges import _model
 
 
 class TestMM1:
-    def test_classic_values(self):
-        q = MM1(lam=0.5, mu=1.0)
-        assert q.rho == 0.5
-        assert q.mean_response == pytest.approx(2.0)
-        assert q.mean_wait == pytest.approx(1.0)
-        assert q.mean_number_in_system == pytest.approx(1.0)
-        assert q.mean_number_in_queue == pytest.approx(0.5)
-
-    def test_littles_law(self):
-        q = MM1(lam=0.8, mu=1.0)
-        assert q.mean_number_in_system == pytest.approx(
-            q.lam * q.mean_response)
-        assert q.mean_number_in_queue == pytest.approx(q.lam * q.mean_wait)
-
-    @given(st.floats(0.01, 0.99))
-    @settings(max_examples=50, deadline=None)
-    def test_littles_law_property(self, rho):
-        q = MM1(lam=rho, mu=1.0)
-        assert q.mean_number_in_system == pytest.approx(
-            q.lam * q.mean_response, rel=1e-9)
-
-    def test_probabilities_sum_to_one(self):
-        q = MM1(lam=0.6, mu=1.0)
-        total = sum(q.prob_n(k) for k in range(200))
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_tail_probability(self):
-        q = MM1(lam=0.5, mu=1.0)
-        assert q.prob_wait_exceeds(0.0) == 1.0
-        assert q.prob_wait_exceeds(2.0) == pytest.approx(
-            pytest.approx(0.36787944117144233))
-
-    def test_unstable_rejected(self):
-        with pytest.raises(ValidationError):
-            MM1(lam=1.0, mu=1.0)
-
-    def test_stability_probe(self):
-        assert MM1.is_stable(0.5, 1.0)
-        assert not MM1.is_stable(1.5, 1.0)
-        assert not MM1.is_stable(0.0, 1.0)
+    """Eq. 5, the M/M/1 response time, as the model computes it."""
 
     def test_creq_is_paper_equation_five(self):
-        # Creq(n) = 1/(mu - n L), the paper's service-time law, as the
-        # fitted model computes it.
+        # Creq(n) = 1/(mu - n L), the paper's service-time law.
         model = _model(mu=1.0, ell=0.1)
         for n in range(1, 10):
             assert model.creq(n) == 1.0 / (model.mu - n * model.ell)
@@ -93,84 +44,3 @@ class TestMMc:
     def test_unstable_rejected(self):
         with pytest.raises(ValidationError):
             MMc(lam=2.0, mu=1.0, c=2)
-
-    def test_equivalent_rate(self):
-        assert MMc(lam=1.0, mu=2.0, c=3).equivalent_single_server_rate() \
-            == 6.0
-
-    def test_sakasegawa_near_exact(self):
-        exact = MMc(lam=1.6, mu=1.0, c=2).mean_wait
-        approx = mmc_wait_approx(2, 1.0, 1.6)
-        assert approx == pytest.approx(exact, rel=0.1)
-
-
-class TestMG1:
-    def test_md1_half_of_mm1(self):
-        md1 = MG1(lam=0.5, mean_service=1.0, scv_service=0.0)
-        mm1 = MM1(lam=0.5, mu=1.0)
-        assert md1.mean_wait == pytest.approx(mm1.mean_wait / 2)
-
-    def test_mm1_case(self):
-        q = MG1(lam=0.5, mean_service=1.0, scv_service=1.0)
-        assert q.mean_wait == pytest.approx(MM1(0.5, 1.0).mean_wait)
-
-    def test_variability_increases_wait(self):
-        low = MG1(lam=0.5, mean_service=1.0, scv_service=0.5)
-        high = MG1(lam=0.5, mean_service=1.0, scv_service=4.0)
-        assert high.mean_wait > low.mean_wait
-
-    def test_littles_law(self):
-        q = MG1(lam=0.4, mean_service=1.5, scv_service=2.0)
-        assert q.mean_number_in_system == pytest.approx(
-            q.lam * q.mean_response)
-
-    def test_unstable_rejected(self):
-        with pytest.raises(ValidationError):
-            MG1(lam=1.0, mean_service=1.0, scv_service=1.0)
-
-    def test_two_point_moments(self):
-        mean, scv = two_point_service_moments(fast=1.0, slow=1.0, p_slow=0.5)
-        assert mean == 1.0
-        assert scv == 0.0
-
-    def test_two_point_mixture(self):
-        mean, scv = two_point_service_moments(fast=1.0, slow=3.0, p_slow=0.5)
-        assert mean == pytest.approx(2.0)
-        assert scv == pytest.approx(1.0 / 4.0)
-
-    def test_two_point_ordering_enforced(self):
-        with pytest.raises(ValidationError):
-            two_point_service_moments(fast=3.0, slow=1.0, p_slow=0.5)
-
-
-class TestGG1:
-    def test_exact_for_mm1(self):
-        w = allen_cunneen_wait(lam=0.5, mu=1.0, ca2=1.0, cs2=1.0)
-        assert w == pytest.approx(MM1(0.5, 1.0).mean_wait)
-
-    def test_exact_for_mg1(self):
-        w = allen_cunneen_wait(lam=0.5, mu=1.0, ca2=1.0, cs2=3.0)
-        assert w == pytest.approx(
-            MG1(0.5, 1.0, 3.0).mean_wait)
-
-    def test_klb_correction_identity_at_ca2_one(self):
-        assert klb_correction(0.5, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_klb_shrinks_smooth_traffic(self):
-        assert klb_correction(0.5, 0.0, 1.0) < 1.0
-
-    def test_burstier_arrivals_wait_longer(self):
-        smooth = gg1_wait(0.5, 1.0, ca2=1.0, cs2=1.0)
-        bursty = gg1_wait(0.5, 1.0, ca2=8.0, cs2=1.0)
-        assert bursty > smooth
-
-    def test_response_adds_service(self):
-        w = gg1_wait(0.5, 1.0, 1.0, 1.0)
-        assert gg1_response(0.5, 1.0, 1.0, 1.0) == pytest.approx(w + 1.0)
-
-    def test_unstable_rejected(self):
-        with pytest.raises(ValidationError):
-            gg1_wait(1.1, 1.0, 1.0, 1.0)
-
-    def test_dd1_never_waits(self):
-        assert gg1_wait(0.5, 1.0, ca2=0.0, cs2=0.0) == pytest.approx(0.0)

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine.caches import CacheConfig, SetAssociativeCache
-from repro.qnet.bounds import OperationalBounds
 from repro.qnet.mva import (
-    ClosedNetwork,
-    DelayStation,
-    QueueingStation,
     bound_throughputs,
     exact_throughputs_cells,
     schweitzer_throughputs,
@@ -118,22 +114,6 @@ _ROWS = (st.integers(1, 60), st.floats(0.5, 30.0),
 
 
 class TestOperationalBounds:
-    def _net(self, think=10.0, demands=(1.0, 0.5)):
-        stations = [DelayStation("z", think)]
-        stations += [QueueingStation(f"s{i}", d)
-                     for i, d in enumerate(demands)]
-        return ClosedNetwork(stations)
-
-    def test_derivation(self):
-        b = OperationalBounds.of(self._net())
-        assert b.total_demand == 1.5
-        assert b.max_demand == 1.0
-        assert b.think_time == 10.0
-
-    def test_knee(self):
-        b = OperationalBounds.of(self._net())
-        assert b.knee_population == pytest.approx(11.5)
-
     @given(*_ROWS)
     @settings(max_examples=60, deadline=None)
     def test_mva_within_bounds(self, n, think, queues):
@@ -156,16 +136,6 @@ class TestOperationalBounds:
     def test_bound_rung_is_the_upper_bound(self, n, think, queues):
         _, upper, _ = _bounds(n, think, queues)
         assert bound_throughputs(*_row(think, queues, n))[0] == upper
-
-    def test_zero_population(self):
-        b = OperationalBounds.of(self._net())
-        assert b.throughput_upper(0) == 0.0
-        assert b.throughput_lower(0) == 0.0
-
-    def test_requires_queueing_station(self):
-        net = ClosedNetwork([DelayStation("z", 1.0)])
-        with pytest.raises(ValidationError):
-            OperationalBounds.of(net)
 
     def test_flow_solver_respects_bottleneck_bound(self, inuma):
         # End-to-end: the substrate's throughput-derived omega cannot

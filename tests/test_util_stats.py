@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.util.stats import (
-    RunningStats,
     coefficient_of_variation,
     geometric_mean,
     mean_relative_error,
@@ -13,37 +11,6 @@ from repro.util.stats import (
     relative_error,
 )
 from repro.util.validation import ValidationError
-
-
-class TestRunningStats:
-    def test_matches_numpy(self, rng):
-        xs = rng.normal(5.0, 2.0, size=500)
-        acc = RunningStats()
-        acc.extend(xs)
-        assert acc.count == 500
-        assert acc.mean == pytest.approx(float(xs.mean()))
-        assert acc.variance == pytest.approx(float(xs.var(ddof=1)))
-        assert acc.minimum == pytest.approx(float(xs.min()))
-        assert acc.maximum == pytest.approx(float(xs.max()))
-
-    def test_single_sample(self):
-        acc = RunningStats()
-        acc.add(3.0)
-        assert acc.mean == 3.0
-        assert acc.variance == 0.0
-
-    def test_empty_mean_raises(self):
-        with pytest.raises(ValidationError):
-            RunningStats().mean
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_welford_agrees_with_numpy(self, xs):
-        acc = RunningStats()
-        acc.extend(xs)
-        assert acc.mean == pytest.approx(float(np.mean(xs)), abs=1e-6)
-        assert acc.variance == pytest.approx(
-            float(np.var(xs, ddof=1)), rel=1e-6, abs=1e-6)
 
 
 class TestRelativeError:
