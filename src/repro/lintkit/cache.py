@@ -10,7 +10,7 @@ on two fingerprints:
 * the **project fingerprint** — the symbol-index hash over every file's
   summary (see :mod:`repro.lintkit.dataflow.symbols`) — so tier-2
   findings are only reused while the cross-module facts they depended on
-  (signatures, imports, globals, thread targets) are unchanged.  Editing
+  (signatures, imports, globals, process entries) are unchanged.  Editing
   a function *body* leaves its module summary intact: only that file
   re-lints, every other file's findings replay from the cache.
 

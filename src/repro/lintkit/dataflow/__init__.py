@@ -5,7 +5,8 @@ built on this package (tier 2) reason about *flow*: a per-function
 control-flow graph (:mod:`cfg`), a small forward abstract-interpretation
 engine over join-semilattice environments (:mod:`lattice`,
 :mod:`fixpoint`), and a cross-module symbol index so rules can resolve
-calls, imports and thread targets across ``src/repro`` (:mod:`symbols`).
+calls, imports and process-pool entries across ``src/repro``
+(:mod:`symbols`).
 ``PUR100`` runs on the first three, the ``CONC`` rules on the index.
 
 Everything here is stdlib-only and deliberately small: the CFG models

@@ -1,10 +1,11 @@
 """Cached cross-module symbol index over the linted tree.
 
-Tier-2 rules need facts no single file contains: is this function a
-``threading.Thread`` target three modules away?  is this function
-submitted to a process pool?  The :class:`SymbolIndex` answers those
+Tier-2 rules need facts no single file contains: is this function
+submitted to a process pool three modules away?  which module-level
+names hold mutable registries?  The :class:`SymbolIndex` answers those
 from per-module *summaries* — a compact, JSON-able digest of each
-module's definitions, imports, call edges and concurrency entry points.
+module's definitions, imports, mutable globals and process-pool
+entry points.
 
 Summaries, not ASTs, are the index's currency on purpose: the
 incremental lint cache persists each file's summary next to its
@@ -12,7 +13,7 @@ findings, so an unchanged file contributes to the index without being
 re-parsed, and the index *fingerprint* (a hash of every summary) keys
 the validity of cached findings — editing a function body leaves the
 summary and therefore every other file's cached findings intact, while
-changing a signature, import, global or thread target invalidates
+changing a signature, import, global or process entry invalidates
 exactly what the change can influence.
 """
 
@@ -56,7 +57,6 @@ class FunctionInfo:
     name: str              # Class.method / function
     module: str
     params: tuple[str, ...]
-    calls: tuple[str, ...]  # dotted call targets, as written
     lineno: int
 
 
@@ -73,8 +73,6 @@ class ModuleInfo:
     globals_mutable: tuple[str, ...] = ()
     #: every module-level binding.
     globals_all: tuple[str, ...] = ()
-    #: dotted names passed as ``Thread(target=...)``, as written.
-    thread_targets: tuple[str, ...] = ()
     #: dotted names submitted to a process pool / run_isolated.
     process_entries: tuple[str, ...] = ()
 
@@ -84,14 +82,12 @@ class ModuleInfo:
             "relpath": self.relpath,
             "functions": {
                 name: {"params": list(info.params),
-                       "calls": list(info.calls),
                        "lineno": info.lineno}
                 for name, info in sorted(self.functions.items())
             },
             "imports": dict(sorted(self.imports.items())),
             "globals_mutable": sorted(self.globals_mutable),
             "globals_all": sorted(self.globals_all),
-            "thread_targets": sorted(self.thread_targets),
             "process_entries": sorted(self.process_entries),
         }
 
@@ -103,30 +99,17 @@ class ModuleInfo:
             name: FunctionInfo(
                 qualname=f"{mod}.{name}", name=name, module=mod,
                 params=tuple(f.get("params", ())),
-                calls=tuple(f.get("calls", ())),
                 lineno=int(f.get("lineno", 1)))
             for name, f in data.get("functions", {}).items()
         }
         info.imports = dict(data.get("imports", {}))
         info.globals_mutable = tuple(data.get("globals_mutable", ()))
         info.globals_all = tuple(data.get("globals_all", ()))
-        info.thread_targets = tuple(data.get("thread_targets", ()))
         info.process_entries = tuple(data.get("process_entries", ()))
         return info
 
 
 # -- summary extraction -------------------------------------------------------
-
-def _called_names(fn: ast.AST) -> tuple[str, ...]:
-    """Dotted call targets inside ``fn``, as written, deduplicated."""
-    seen: dict[str, None] = {}
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name:
-                seen.setdefault(name, None)
-    return tuple(seen)
-
 
 def _is_mutable_binding(value: ast.AST) -> bool:
     if isinstance(value, (ast.List, ast.Dict, ast.Set,
@@ -169,7 +152,6 @@ def extract_summary(relpath: str, tree: ast.Module) -> ModuleInfo:
 
     info.globals_all = tuple(dict.fromkeys(globals_all))
     info.globals_mutable = tuple(dict.fromkeys(globals_mutable))
-    info.thread_targets = _thread_targets(tree)
     info.process_entries = _process_entries(tree, info.imports)
     return info
 
@@ -196,30 +178,13 @@ def _record_function(info: ModuleInfo, name: str, fn: ast.AST) -> None:
                                    *args.kwonlyargs))
     info.functions[name] = FunctionInfo(
         qualname=f"{info.module}.{name}", name=name, module=info.module,
-        params=params, calls=_called_names(fn), lineno=fn.lineno)
+        params=params, lineno=fn.lineno)
 
 
 def _record_class(info: ModuleInfo, cls: ast.ClassDef) -> None:
     for stmt in cls.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _record_function(info, f"{cls.name}.{stmt.name}", stmt)
-
-
-def _thread_targets(tree: ast.Module) -> tuple[str, ...]:
-    """``target=`` arguments of ``threading.Thread(...)`` constructions."""
-    out: dict[str, None] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted_name(node.func)
-        if name is None or name.rsplit(".", 1)[-1] != "Thread":
-            continue
-        for kw in node.keywords:
-            if kw.arg == "target":
-                target = dotted_name(kw.value)
-                if target:
-                    out.setdefault(target, None)
-    return tuple(out)
 
 
 def _process_entries(tree: ast.Module,
@@ -250,12 +215,10 @@ class SymbolIndex:
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
-        self._thread_reachable: set[str] | None = None
         self._process_entry_set: set[str] | None = None
 
     def add(self, info: ModuleInfo) -> None:
         self.modules[info.module] = info
-        self._thread_reachable = None
         self._process_entry_set = None
 
     def add_tree(self, relpath: str, tree: ast.Module) -> ModuleInfo:
@@ -292,29 +255,10 @@ class SymbolIndex:
                 return f"{module}.{head}"
         return dotted
 
-    def function(self, qualname: str) -> FunctionInfo | None:
-        module, _, name = qualname.rpartition(".")
-        info = self.modules.get(module)
-        if info is not None and name in info.functions:
-            return info.functions[name]
-        # Method qualnames: module.Class.method.
-        module2, _, cls = module.rpartition(".")
-        info = self.modules.get(module2)
-        if info is not None:
-            return info.functions.get(f"{cls}.{name}")
-        return None
-
     # -- concurrency entry points --------------------------------------------
 
-    def thread_entry_functions(self) -> set[str]:
-        """Qualified names of ``threading.Thread`` targets."""
-        out: set[str] = set()
-        for info in self.modules.values():
-            for target in info.thread_targets:
-                out.update(self._qualify_entry(info, target))
-        return out
-
     def process_entry_functions(self) -> set[str]:
+        """Qualified names submitted to a process pool or run_isolated."""
         if self._process_entry_set is None:
             out: set[str] = set()
             for info in self.modules.values():
@@ -340,39 +284,3 @@ class SymbolIndex:
                     out.add(f"{info.module}.{name}")
             return out
         return {self.resolve_call(info.module, target)}
-
-    def thread_reachable(self) -> set[str]:
-        """Qualified function names reachable from thread entry points.
-
-        Call edges follow summarised calls resolved through each
-        module's imports, plus ``self.X`` to a sibling method.  The
-        closure is over-approximate (any matching name reaches) which is
-        the right direction for a concurrency-hazard rule.
-        """
-        if self._thread_reachable is not None:
-            return self._thread_reachable
-        reachable: set[str] = set()
-        work = [q for q in self.thread_entry_functions()
-                if self.function(q) is not None]
-        while work:
-            qual = work.pop()
-            if qual in reachable:
-                continue
-            fn = self.function(qual)
-            if fn is None:
-                continue
-            reachable.add(qual)
-            cls_prefix = ""
-            if "." in fn.name:  # a method: self.X resolves to Class.X
-                cls_prefix = fn.name.rsplit(".", 1)[0]
-            for called in fn.calls:
-                if called.startswith("self.") and cls_prefix:
-                    cand = f"{fn.module}.{cls_prefix}." \
-                           f"{called[len('self.'):]}"
-                else:
-                    cand = self.resolve_call(fn.module, called)
-                if self.function(cand) is not None and \
-                        cand not in reachable:
-                    work.append(cand)
-        self._thread_reachable = reachable
-        return reachable

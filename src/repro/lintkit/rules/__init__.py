@@ -8,8 +8,8 @@ stays):
   solver kernel, not per-cell loops.
 * ``PUR``  — cache purity: memoized solvers stay side-effect free.
   ``PUR100`` tracks aliases the syntactic rules cannot see.
-* ``CONC`` — concurrency safety: shared-state mutation under threads,
-  process-pool capture hazards, fork-inherited RNG/telemetry state.
+* ``CONC`` — concurrency safety: process-pool capture hazards,
+  fork-inherited RNG/telemetry state.
 * ``SIM``  — desim event ordering: no event mutation after enqueue.
 * ``TEL``  — telemetry hygiene: registry-constant metric names, spans
   only as context managers.

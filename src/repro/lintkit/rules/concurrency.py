@@ -1,15 +1,8 @@
 """Concurrency-safety rules (``CONC``, tier 2).
 
-The ROADMAP's service arc (``repro serve``, sharded sweeps) puts shared
-module state under threads and process pools.  These rules use the
-cross-module symbol index to see the hazards a single file cannot show:
+Sweeps fan out to process pools.  These rules use the cross-module
+symbol index to see the hazards a single file cannot show:
 
-* ``CONC001`` — a function *reachable from a thread entry point*
-  (a ``threading.Thread(target=...)`` anywhere in the project) mutates
-  a module global or a module-level registry singleton without holding
-  a lock.  Reachability follows the summarised call graph across
-  modules, so the mutation and the thread construction can live three
-  files apart.
 * ``CONC002`` — a process-pool submission (``pool.submit`` with
   ``ProcessPoolExecutor`` imported, or ``run_isolated``) captures
   something that cannot cross the process boundary: a lambda or a
@@ -33,13 +26,6 @@ from typing import Iterator
 from repro.lintkit.core import FileContext, Finding, Rule, dotted_name, \
     register
 from repro.lintkit.dataflow.symbols import SymbolIndex, module_name_for
-
-#: Method names that mutate their receiver in place.
-_MUTATORS = {
-    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-    "sort", "reverse", "update", "setdefault", "add", "discard",
-    "appendleft", "extendleft", "inc", "observe",
-}
 
 #: Call-name tails that re-seed / re-initialise inherited RNG state
 #: (constructing a local ``random.Random(seed)`` counts).
@@ -66,17 +52,6 @@ def _project_index(ctx: FileContext) -> SymbolIndex:
     index = SymbolIndex()
     index.add_tree(ctx.relpath, ctx.tree)
     return index
-
-
-def _is_lockish(node: ast.AST) -> bool:
-    """A ``with`` context that looks like a lock acquisition."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    name = dotted_name(node)
-    if name is None:
-        return False
-    tail = name.rsplit(".", 1)[-1].lower()
-    return "lock" in tail or "mutex" in tail
 
 
 def _collect_bound_names(target: ast.AST, out: set[str]) -> None:
@@ -113,14 +88,6 @@ def _local_bindings(fn: ast.AST) -> set[str]:
     return out
 
 
-def _declared_globals(fn: ast.AST) -> set[str]:
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Global):
-            out.update(node.names)
-    return out
-
-
 def _params(fn: ast.AST) -> set[str]:
     args = fn.args
     names = {a.arg for a in (*args.posonlyargs, *args.args,
@@ -130,100 +97,6 @@ def _params(fn: ast.AST) -> set[str]:
     if args.kwarg:
         names.add(args.kwarg.arg)
     return names
-
-
-@register
-class ThreadSharedMutationRule(Rule):
-    """``CONC001``: unsynchronised global mutation on a thread path."""
-
-    id = "CONC001"
-    name = "thread-shared-mutation"
-    description = ("a function reachable from a Thread target mutates "
-                   "module state without a lock")
-    tier = 2
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        index = _project_index(ctx)
-        reachable = index.thread_reachable()
-        if not reachable:
-            return
-        module = module_name_for(ctx.relpath)
-        info = index.modules.get(module)
-        if info is None:
-            return
-        mutable_globals = set(info.globals_mutable)
-        for name, fn in _top_level_functions(ctx.tree):
-            if f"{module}.{name}" not in reachable:
-                continue
-            yield from self._check_function(ctx, name, fn, mutable_globals)
-
-    def _check_function(self, ctx: FileContext, fname: str, fn: ast.AST,
-                        mutable_globals: set[str]) -> Iterator[Finding]:
-        declared = _declared_globals(fn)
-        shadowed = (_local_bindings(fn) | _params(fn)) - declared
-        shared = (mutable_globals - shadowed) | declared
-
-        def visit(node: ast.AST, locked: bool) -> Iterator[Finding]:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                inner_locked = locked or any(
-                    _is_lockish(item.context_expr) for item in node.items)
-                for stmt in node.body:
-                    yield from visit(stmt, inner_locked)
-                return
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                return  # nested scopes are analysed via their own entry
-            if not locked:
-                hit = self._mutation(node, shared, declared)
-                if hit is not None:
-                    target, how = hit
-                    yield ctx.finding(
-                        self, node,
-                        f"`{fname}` {how} module state `{target}` on a "
-                        "thread-reachable path without holding a lock; "
-                        "guard it or make it thread-local")
-            for child in ast.iter_child_nodes(node):
-                yield from visit(child, locked)
-
-        for stmt in fn.body:
-            yield from visit(stmt, False)
-
-    @staticmethod
-    def _mutation(node: ast.AST, shared: set[str],
-                  declared: set[str]) -> tuple[str, str] | None:
-        def root(target: ast.AST) -> str | None:
-            while isinstance(target, (ast.Attribute, ast.Subscript)):
-                target = target.value
-            return target.id if isinstance(target, ast.Name) else None
-
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id in declared:
-                    return target.id, "rebinds"
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    name = root(target)
-                    if name in shared:
-                        return name, "assigns into"
-        elif isinstance(node, ast.AugAssign):
-            if isinstance(node.target, ast.Name) and \
-                    node.target.id in declared:
-                return node.target.id, "rebinds"
-            if isinstance(node.target, (ast.Attribute, ast.Subscript)):
-                name = root(node.target)
-                if name in shared:
-                    return name, "assigns into"
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                name = root(target)
-                if name in shared:
-                    return name, "deletes from"
-        elif isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Attribute) and \
-                node.func.attr in _MUTATORS:
-            name = root(node.func.value)
-            if name in shared:
-                return name, f"calls .{node.func.attr}() on"
-        return None
 
 
 @register

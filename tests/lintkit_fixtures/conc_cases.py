@@ -1,34 +1,9 @@
-"""CONC001-003 fixtures; `# -> RULEID` marks expected findings."""
+"""CONC002-003 fixtures; `# -> RULEID` marks expected findings."""
 import random
-import threading
 from concurrent.futures import ProcessPoolExecutor
 
 REGISTRY = {}
 LIMITS = (1, 2)
-_LOCK = threading.Lock()
-
-
-def worker():
-    REGISTRY["hits"] = 1  # -> CONC001
-    deeper()
-
-
-def deeper():
-    REGISTRY.update(hits=2)  # -> CONC001
-
-
-def locked_worker():
-    with _LOCK:
-        REGISTRY["hits"] = 3
-
-
-def not_thread_reachable():
-    REGISTRY["cold"] = 4
-
-
-def start():
-    threading.Thread(target=worker).start()
-    threading.Thread(target=locked_worker).start()
 
 
 def submit_lambda(pool):
@@ -62,11 +37,3 @@ def launch():
     with ProcessPoolExecutor() as pool:
         pool.submit(pool_worker, 1)
         pool.submit(seeded_worker, 2)
-
-
-class Exporter:
-    def start(self):
-        threading.Thread(target=self._worker).start()
-
-    def _worker(self):
-        REGISTRY["bound"] = 5  # -> CONC001

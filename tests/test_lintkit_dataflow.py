@@ -328,7 +328,7 @@ class TestAliasAnalysisScopes:
 
 class TestSymbolIndex:
     SRC = """
-        import threading
+        from concurrent.futures import ProcessPoolExecutor
         from repro.serve import PredictionServer
 
         REG = {}
@@ -337,7 +337,8 @@ class TestSymbolIndex:
             REG["n"] = 1
 
         def spin():
-            threading.Thread(target=tick).start()
+            with ProcessPoolExecutor() as pool:
+                pool.submit(tick)
     """
 
     def module(self, relpath="src/repro/demo.py"):
@@ -355,33 +356,24 @@ class TestSymbolIndex:
         clone = ModuleInfo.from_summary(info.to_summary())
         assert clone.to_summary() == info.to_summary()
 
-    def test_thread_reachability_spans_the_call_graph(self):
-        index = SymbolIndex()
-        index.add(self.module())
-        assert "repro.demo.tick" in index.thread_reachable()
-
-    def test_bound_method_thread_target_is_reachable(self):
+    def test_bound_method_process_entry_fans_out(self):
+        # ``self._cell`` has no class context in the flat summary: it
+        # names every class's ``_cell`` in the module, and a module one.
         src = textwrap.dedent("""
-            import threading
+            from concurrent.futures import ProcessPoolExecutor
 
-            COUNTS = {}
+            class Sweeper:
+                def launch(self):
+                    with ProcessPoolExecutor() as pool:
+                        pool.submit(self._cell, 1)
 
-            class Exporter:
-                def start(self):
-                    threading.Thread(target=self._worker).start()
-
-                def _worker(self):
-                    COUNTS["n"] = 1
-                    self._flush()
-
-                def _flush(self):
-                    COUNTS["m"] = 2
+                def _cell(self, n):
+                    return n
         """)
         index = SymbolIndex()
         index.add(extract_summary("src/repro/demo.py", ast.parse(src)))
-        reachable = index.thread_reachable()
-        assert "repro.demo.Exporter._worker" in reachable
-        assert "repro.demo.Exporter._flush" in reachable
+        assert index.process_entry_functions() == {
+            "repro.demo.Sweeper._cell", "repro.demo._cell"}
 
     def test_fingerprint_tracks_interface_not_presence(self):
         index = SymbolIndex()
@@ -523,4 +515,4 @@ class TestIncrementalEngine:
 class TestTierDispatch:
     def test_tier2_rules_are_registered(self):
         tier2 = {r.id for r in all_rules() if r.tier == 2}
-        assert {"CONC001", "CONC002", "CONC003", "PUR100"} <= tier2
+        assert {"CONC002", "CONC003", "PUR100"} <= tier2
