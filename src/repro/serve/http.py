@@ -1,7 +1,8 @@
 """The asyncio HTTP front end of ``repro serve``.
 
-A stdlib-only HTTP/1.1 server (an ``asyncio.Protocol`` per connection;
-no third-party frameworks) that frames requests and routes them:
+A stdlib-only HTTP/1.1 server (an ``asyncio.BufferedProtocol`` per
+connection; no third-party frameworks) that frames requests and routes
+them:
 
 * ``POST /predict``   → :func:`repro.serve.service.handle_predict`
 * ``POST /recommend`` → :func:`repro.serve.service.handle_recommend`
@@ -340,12 +341,18 @@ def _detached(span) -> dict | None:
     return span.to_dict()
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: frames, answers and times out its requests.
 
     A framed request is ``(t0, method, path, request_id, close,
     length)``: ``t0`` is when its head was complete, ``close`` whether
     the client asked for ``Connection: close``, ``length`` its body's.
+
+    The transport reads into one buffer the connection keeps.  For a
+    plain ``asyncio.Protocol`` the selector transport allocates 256 KiB
+    per read and shrinks it to what arrived; when the heap's top sits
+    near glibc's trim threshold, that grows and trims the heap, two
+    page faults, on every request.
     """
 
     def __init__(self, server: PredictionServer) -> None:
@@ -353,6 +360,7 @@ class _Connection(asyncio.Protocol):
         self._loop = asyncio.get_running_loop()
         self._transport: asyncio.Transport | None = None
         self._buffer = bytearray()
+        self._received = memoryview(bytearray(_MAX_HEAD_BYTES))
         self._request: tuple | None = None   # head framed, body pending
         self._pending: asyncio.Task | None = None   # a miss on the pool
         self._paused = False                 # the write buffer is full
@@ -373,7 +381,13 @@ class _Connection(asyncio.Protocol):
         self._server._connections.add(self)
         self._frame()
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._received
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._received[:nbytes])
+
+    def data_received(self, data: bytes | memoryview) -> None:
         self._buffer += data
         self._frame()
 
