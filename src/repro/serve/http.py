@@ -348,8 +348,8 @@ class _Connection(asyncio.BufferedProtocol):
     length)``: ``t0`` is when its head was complete, ``close`` whether
     the client asked for ``Connection: close``, ``length`` its body's.
 
-    The transport reads into one buffer the connection keeps.  For a
-    plain ``asyncio.Protocol`` the selector transport allocates 256 KiB
+    The transport reads into one buffer the connection keeps, as large
+    as the largest head it accepts.  For a plain ``asyncio.Protocol`` the selector transport allocates 256 KiB
     per read and shrinks it to what arrived; when the heap's top sits
     near glibc's trim threshold, that grows and trims the heap, two
     page faults, on every request.

@@ -97,7 +97,9 @@ def _bounds(n, think, queues):
     Denning and Buzen's operational laws for a closed interactive system
     with total queueing demand D, bottleneck demand D_max and think time
     Z: ``N/(N D + Z) <= X(N) <= min(N/(D + Z), 1/D_max)`` and
-    ``R(N) >= max(D, N D_max - Z)``.  D is summed left to right from 0.
+    ``R(N) >= max(D, N D_max - Z)``.  D is summed left to right, as
+    numpy sums a row this short, so ``bound_throughputs`` can be held to
+    the upper bound exactly.
     """
     total = 0.0
     for d in queues:
