@@ -20,6 +20,7 @@ from repro.workloads.synthetic import (
     tiled_2d,
     zipf_stream,
 )
+from test_qnet_mva import _row
 
 
 class TestSyntheticStreams:
@@ -83,14 +84,6 @@ class TestSyntheticStreams:
             zipf_stream(10, 4096, skew=1.0, rng=rng)
 
 
-def _row(think, queues, n):
-    """One scv = 1 chain row at population ``n``: think station first."""
-    width = 1 + len(queues)
-    return (np.array([[think, *queues]]),
-            np.array([[False] + [True] * len(queues)]),
-            np.ones((1, width)), np.array([n]))
-
-
 def _bounds(n, think, queues):
     """``(X lower, X upper, R lower)``, computed here from D, D_max, Z.
 
@@ -119,7 +112,7 @@ class TestOperationalBounds:
     @given(*_ROWS)
     @settings(max_examples=60, deadline=None)
     def test_mva_within_bounds(self, n, think, queues):
-        row = _row(think, queues, n)
+        row = (*_row(think, *queues), np.array([n]))
         lower, upper, _ = _bounds(n, think, queues)
         (exact,) = exact_throughputs_cells([row])
         for x in (exact[0], schweitzer_throughputs(*row)[0]):
@@ -130,14 +123,16 @@ class TestOperationalBounds:
     @settings(max_examples=60, deadline=None)
     def test_response_bound(self, n, think, queues):
         _, _, response_lower = _bounds(n, think, queues)
-        (x,) = exact_throughputs_cells([_row(think, queues, n)])
+        (x,) = exact_throughputs_cells(
+            [(*_row(think, *queues), np.array([n]))])
         assert n / x[0] - think >= response_lower * (1 - 1e-9)
 
     @given(*_ROWS)
     @settings(max_examples=60, deadline=None)
     def test_bound_rung_is_the_upper_bound(self, n, think, queues):
         _, upper, _ = _bounds(n, think, queues)
-        assert bound_throughputs(*_row(think, queues, n))[0] == upper
+        assert bound_throughputs(*_row(think, *queues),
+                                 np.array([n]))[0] == upper
 
     def test_flow_solver_respects_bottleneck_bound(self, inuma):
         # End-to-end: the substrate's throughput-derived omega cannot
