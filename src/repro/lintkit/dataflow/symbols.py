@@ -57,7 +57,6 @@ class FunctionInfo:
     name: str              # Class.method / function
     module: str
     params: tuple[str, ...]
-    lineno: int
 
 
 @dataclass
@@ -81,8 +80,7 @@ class ModuleInfo:
             "module": self.module,
             "relpath": self.relpath,
             "functions": {
-                name: {"params": list(info.params),
-                       "lineno": info.lineno}
+                name: {"params": list(info.params)}
                 for name, info in sorted(self.functions.items())
             },
             "imports": dict(sorted(self.imports.items())),
@@ -98,8 +96,7 @@ class ModuleInfo:
         info.functions = {
             name: FunctionInfo(
                 qualname=f"{mod}.{name}", name=name, module=mod,
-                params=tuple(f.get("params", ())),
-                lineno=int(f.get("lineno", 1)))
+                params=tuple(f.get("params", ())))
             for name, f in data.get("functions", {}).items()
         }
         info.imports = dict(data.get("imports", {}))
@@ -178,7 +175,7 @@ def _record_function(info: ModuleInfo, name: str, fn: ast.AST) -> None:
                                    *args.kwonlyargs))
     info.functions[name] = FunctionInfo(
         qualname=f"{info.module}.{name}", name=name, module=info.module,
-        params=params, lineno=fn.lineno)
+        params=params)
 
 
 def _record_class(info: ModuleInfo, cls: ast.ClassDef) -> None:

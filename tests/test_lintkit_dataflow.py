@@ -480,6 +480,19 @@ class TestIncrementalEngine:
         report = self._lint(tmp_path)
         assert (report.cache_hits, report.cache_misses) == (1, 1)
 
+    def test_body_edit_shifting_a_later_function_keeps_the_summary(
+            self, tmp_path):
+        # A summary holds no line numbers, so growing ``f``'s body,
+        # which moves ``g`` down a line, re-lints only that file.
+        clean, _ = self._tree(tmp_path)
+        clean.write_text("def f():\n    return 1\n\n\n"
+                         "def g():\n    return 2\n", encoding="utf-8")
+        self._lint(tmp_path)
+        clean.write_text("def f():\n    x = 1\n    return x\n\n\n"
+                         "def g():\n    return 2\n", encoding="utf-8")
+        report = self._lint(tmp_path)
+        assert (report.cache_hits, report.cache_misses) == (1, 1)
+
     def test_interface_edit_invalidates_every_file(self, tmp_path):
         # Adding a module-level binding changes the cross-module view:
         # every cached finding set is re-validated against the new
