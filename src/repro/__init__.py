@@ -32,72 +32,80 @@ Every table and figure of the paper regenerates via
 :func:`repro.experiments.run_experiment` or ``python -m repro <name>``.
 """
 
-from repro import obs
-from repro.core import (
-    ContentionModel,
-    NUMAContentionModel,
-    SingleProcessorModel,
-    UMAContentionModel,
-    ValidationReport,
-    colinearity_r2,
-    degree_of_contention,
-    fit_model,
-    omega_curve,
-    paper_fit_points,
-    validate_model,
-)
-from repro.counters import BurstSampler, CounterSample, Papiex, TopologyMap
-from repro.experiments import available_experiments, run_experiment
-from repro.machine import (
-    CoreAllocation,
-    Machine,
-    all_machines,
-    amd_numa,
-    intel_numa,
-    intel_uma,
-)
-from repro.runtime import MeasurementRun, measure_curve, measure_single
-from repro.workloads import Workload, all_workloads, get_workload
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Each exported name -> the subpackage it comes from (``obs`` is that
+#: subpackage itself).  Nothing is imported until a name is first read.
+_EXPORTS = {
     # telemetry
-    "obs",
+    "obs": "obs",
     # the paper's model
-    "ContentionModel",
-    "SingleProcessorModel",
-    "UMAContentionModel",
-    "NUMAContentionModel",
-    "ValidationReport",
-    "fit_model",
-    "validate_model",
-    "paper_fit_points",
-    "colinearity_r2",
-    "degree_of_contention",
-    "omega_curve",
+    "ContentionModel": "core",
+    "SingleProcessorModel": "core",
+    "UMAContentionModel": "core",
+    "NUMAContentionModel": "core",
+    "ValidationReport": "core",
+    "fit_model": "core",
+    "validate_model": "core",
+    "paper_fit_points": "core",
+    "colinearity_r2": "core",
+    "degree_of_contention": "core",
+    "omega_curve": "core",
     # machines
-    "Machine",
-    "CoreAllocation",
-    "intel_uma",
-    "intel_numa",
-    "amd_numa",
-    "all_machines",
+    "Machine": "machine",
+    "CoreAllocation": "machine",
+    "intel_uma": "machine",
+    "intel_numa": "machine",
+    "amd_numa": "machine",
+    "all_machines": "machine",
     # workloads
-    "Workload",
-    "all_workloads",
-    "get_workload",
+    "Workload": "workloads",
+    "all_workloads": "workloads",
+    "get_workload": "workloads",
     # measurement substrate
-    "MeasurementRun",
-    "measure_curve",
-    "measure_single",
+    "MeasurementRun": "runtime",
+    "measure_curve": "runtime",
+    "measure_single": "runtime",
     # counters
-    "CounterSample",
-    "Papiex",
-    "BurstSampler",
-    "TopologyMap",
+    "CounterSample": "counters",
+    "Papiex": "counters",
+    "BurstSampler": "counters",
+    "TopologyMap": "counters",
     # experiments
-    "run_experiment",
-    "available_experiments",
-]
+    "run_experiment": "experiments",
+    "available_experiments": "experiments",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def _export(package: str, exports: dict[str, str], name: str):
+    """Resolve ``name`` through a package's export table (PEP 562).
+
+    Every package ``__init__`` maps each name it exports to the submodule
+    that defines it, relative to the package, and its ``__getattr__``
+    calls this: the first read of a name imports that submodule and binds
+    the name in the package, so later reads never come back here.  A
+    name mapped to itself is the submodule.  A process therefore loads
+    only the modules whose names it reads.
+    """
+    try:
+        submodule = exports[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {package!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f"{package}.{submodule}")
+    value = module if submodule == name else getattr(module, name)
+    setattr(sys.modules[package], name, value)
+    return value
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -7,30 +7,29 @@ miss counts, a log-log tail-linearity test (the paper's criterion: beyond
 space), and classical burstiness indices.
 """
 
-from repro.burst.ccdf import CCDF, ccdf_at, empirical_ccdf
-from repro.burst.metrics import (
-    burstiness_score,
-    index_of_dispersion,
-    peak_to_mean_ratio,
-)
-from repro.burst.selfsimilar import (
-    HurstEstimate,
-    aggregate_series,
-    estimate_hurst,
-)
-from repro.burst.tail import TailFit, fit_loglog_tail, is_heavy_tailed
+from repro import _export
 
-__all__ = [
-    "CCDF",
-    "empirical_ccdf",
-    "ccdf_at",
-    "TailFit",
-    "fit_loglog_tail",
-    "is_heavy_tailed",
-    "index_of_dispersion",
-    "peak_to_mean_ratio",
-    "burstiness_score",
-    "HurstEstimate",
-    "aggregate_series",
-    "estimate_hurst",
-]
+_EXPORTS = {
+    "CCDF": "ccdf",
+    "empirical_ccdf": "ccdf",
+    "ccdf_at": "ccdf",
+    "TailFit": "tail",
+    "fit_loglog_tail": "tail",
+    "is_heavy_tailed": "tail",
+    "index_of_dispersion": "metrics",
+    "peak_to_mean_ratio": "metrics",
+    "burstiness_score": "metrics",
+    "HurstEstimate": "selfsimilar",
+    "aggregate_series": "selfsimilar",
+    "estimate_hurst": "selfsimilar",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

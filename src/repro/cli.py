@@ -86,7 +86,6 @@ import json
 import sys
 
 from repro import __version__, obs
-from repro.experiments import available_experiments, run_experiment
 from repro.obs.tracing import count_spans
 
 #: Non-experiment commands, as shown by ``repro list``.
@@ -108,6 +107,8 @@ _COMMANDS: dict[str, str] = {
 
 
 def _cmd_list(_args) -> int:
+    from repro.experiments import available_experiments
+
     print("available experiments:")
     for name in available_experiments():
         print(f"  {name}")
@@ -293,6 +294,8 @@ def _cmd_topology(_args) -> int:
 
 
 def _experiment_names(name: str) -> list[str]:
+    from repro.experiments import available_experiments
+
     return available_experiments() if name == "all" else [name]
 
 
@@ -390,14 +393,15 @@ def _serving_metrics(port: int | None):
 def _profiled_run(names: list[str], fast: bool, rng):
     """One profiled, telemetry-enabled run shared by profile/hotspots.
 
-    The solve stack is imported up front so the profile attributes time
-    to solving, not to first-touch module imports, then every experiment
-    runs serially under one :class:`repro.obs.Profiler`.
+    Each requested experiment's driver module is imported up front, and
+    with it everything the driver imports, so the profile attributes
+    time to solving, not to first-touch module imports; then every
+    experiment runs serially under one :class:`repro.obs.Profiler`.
     """
-    import repro.experiments.runner  # noqa: F401  (pre-import: attribution)
-    import repro.qnet.mva  # noqa: F401
-    import repro.runtime.flow  # noqa: F401
+    from repro.experiments.runner import load_driver, run_experiment
 
+    for name in names:
+        load_driver(name)
     tel = obs.enable(fresh=True)
     results = []
     with obs.Profiler() as profiler:

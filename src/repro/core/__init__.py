@@ -27,59 +27,46 @@ exactly the quantities PAPI provides — so it runs unchanged against the
 simulated testbeds here or against counters collected on real hardware.
 """
 
-from repro.core.contention import (
-    CycleDecomposition,
-    contention_stall_cycles,
-    degree_of_contention,
-    omega_curve,
-)
-from repro.core.model import (
-    ContentionModel,
-    colinearity_fit,
-    colinearity_r2,
-    fit_model,
-    model_diagnostics,
-    paper_fit_points,
-)
-from repro.core.numa import NUMAContentionModel
-from repro.core.predict import (
-    Prediction,
-    Recommendation,
-    predict,
-    predict_sweep,
-    predict_workload,
-    recommend,
-    recommend_workload,
-)
-from repro.core.regression import LinearFit, linear_fit
-from repro.core.uma import UMAContentionModel
-from repro.core.uniproc import ModelError, SingleProcessorModel
-from repro.core.validate import ValidationReport, validate_model
+# ``predict`` is imported eagerly: it names both a submodule and a
+# function, and importing the submodule binds the package attribute to
+# the module.  Importing it here binds the function over the module
+# before any other import of ``repro.core.predict`` can.
+from repro import _export
+from repro.core.predict import predict
 
-__all__ = [
-    "CycleDecomposition",
-    "contention_stall_cycles",
-    "degree_of_contention",
-    "omega_curve",
-    "LinearFit",
-    "linear_fit",
-    "SingleProcessorModel",
-    "ModelError",
-    "UMAContentionModel",
-    "NUMAContentionModel",
-    "ContentionModel",
-    "fit_model",
-    "model_diagnostics",
-    "paper_fit_points",
-    "colinearity_fit",
-    "colinearity_r2",
-    "ValidationReport",
-    "validate_model",
-    "Prediction",
-    "Recommendation",
-    "predict",
-    "predict_workload",
-    "predict_sweep",
-    "recommend",
-    "recommend_workload",
-]
+_EXPORTS = {
+    "CycleDecomposition": "contention",
+    "contention_stall_cycles": "contention",
+    "degree_of_contention": "contention",
+    "omega_curve": "contention",
+    "LinearFit": "regression",
+    "linear_fit": "regression",
+    "SingleProcessorModel": "uniproc",
+    "ModelError": "uniproc",
+    "UMAContentionModel": "uma",
+    "NUMAContentionModel": "numa",
+    "ContentionModel": "model",
+    "fit_model": "model",
+    "model_diagnostics": "model",
+    "paper_fit_points": "model",
+    "colinearity_fit": "model",
+    "colinearity_r2": "model",
+    "ValidationReport": "validate",
+    "validate_model": "validate",
+    "Prediction": "predict",
+    "Recommendation": "predict",
+    "predict_workload": "predict",
+    "predict_sweep": "predict",
+    "recommend": "predict",
+    "recommend_workload": "predict",
+}
+
+__all__ = [*_EXPORTS, "predict"]
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

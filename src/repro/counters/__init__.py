@@ -15,26 +15,27 @@ This package reproduces those interfaces:
   core / package / controller mapping).
 """
 
-from repro.counters.likwid import TopologyMap
-from repro.counters.papi import (
-    CounterSample,
-    EventSet,
-    PapiError,
-    PapiEvent,
-    llc_event_for,
-)
-from repro.counters.papiex import Papiex, ProfiledRun
-from repro.counters.sampler import BurstSampler, SampledTrace
+from repro import _export
 
-__all__ = [
-    "PapiEvent",
-    "EventSet",
-    "CounterSample",
-    "llc_event_for",
-    "PapiError",
-    "Papiex",
-    "ProfiledRun",
-    "BurstSampler",
-    "SampledTrace",
-    "TopologyMap",
-]
+_EXPORTS = {
+    "PapiEvent": "papi",
+    "EventSet": "papi",
+    "CounterSample": "papi",
+    "llc_event_for": "papi",
+    "PapiError": "papi",
+    "Papiex": "papiex",
+    "ProfiledRun": "papiex",
+    "BurstSampler": "sampler",
+    "SampledTrace": "sampler",
+    "TopologyMap": "likwid",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

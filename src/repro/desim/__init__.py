@@ -17,31 +17,31 @@ Two usage styles are supported:
   matters, e.g. for burstiness sampling.
 """
 
-from repro.desim.arrivals import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    HyperexponentialArrivals,
-    MMPPArrivals,
-    OnOffArrivals,
-    PoissonArrivals,
-)
-from repro.desim.engine import Interrupt, SimulationError, Simulator, Timeout
-from repro.desim.events import Event, EventQueue
-from repro.desim.resources import QueueStats, Server
+from repro import _export
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "Timeout",
-    "Interrupt",
-    "SimulationError",
-    "Server",
-    "QueueStats",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DeterministicArrivals",
-    "OnOffArrivals",
-    "MMPPArrivals",
-    "HyperexponentialArrivals",
-]
+_EXPORTS = {
+    "Event": "events",
+    "EventQueue": "events",
+    "Simulator": "engine",
+    "Timeout": "engine",
+    "Interrupt": "engine",
+    "SimulationError": "engine",
+    "Server": "resources",
+    "QueueStats": "resources",
+    "ArrivalProcess": "arrivals",
+    "PoissonArrivals": "arrivals",
+    "DeterministicArrivals": "arrivals",
+    "OnOffArrivals": "arrivals",
+    "MMPPArrivals": "arrivals",
+    "HyperexponentialArrivals": "arrivals",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

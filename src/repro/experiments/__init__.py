@@ -23,16 +23,21 @@ ablation_burstiness  tail linearity vs problem size (Section III-B)
 ========  ==========================================================
 """
 
-from repro.experiments.runner import (
-    ExperimentResult,
-    available_experiments,
-    run_experiment,
-    run_experiments,
-)
+from repro import _export
 
-__all__ = [
-    "ExperimentResult",
-    "available_experiments",
-    "run_experiment",
-    "run_experiments",
-]
+_EXPORTS = {
+    "ExperimentResult": "runner",
+    "available_experiments": "runner",
+    "run_experiment": "runner",
+    "run_experiments": "runner",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

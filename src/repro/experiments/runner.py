@@ -111,6 +111,21 @@ def available_experiments() -> list[str]:
     return list(_EXPERIMENTS)
 
 
+def load_driver(name: str):
+    """Import the driver module registered as ``name`` and return it.
+
+    Importing it also imports everything the driver imports, so a caller
+    that times or profiles ``run_experiment`` can pay that cost first.
+    """
+    try:
+        module_path = _EXPERIMENTS[name]
+    except KeyError:
+        raise ValidationError(
+            f"unknown experiment {name!r}; have {available_experiments()}"
+        ) from None
+    return importlib.import_module(module_path)
+
+
 def _seed_of(rng) -> int | None:
     """The reproducibility seed recorded in manifests, when known."""
     from repro.util.rng import DEFAULT_SEED
@@ -144,13 +159,7 @@ def run_experiment(name: str, fast: bool = False, rng=None) -> ExperimentResult:
     which is also recorded on the session — so failed runs stay
     diagnosable.
     """
-    try:
-        module_path = _EXPERIMENTS[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown experiment {name!r}; have {available_experiments()}"
-        ) from None
-    module = importlib.import_module(module_path)
+    module = load_driver(name)
 
     tel = obs.session()
     degrade.clear_events()  # stale events must not leak into this run

@@ -17,47 +17,36 @@ controller channel counts, bus widths and NUMA hop latencies — all taken
 from the paper's hardware table or public microarchitecture documentation.
 """
 
-from repro.machine.allocation import (
-    AffinityError,
-    CoreAllocation,
-    fill_processor_first,
-)
-from repro.machine.bus import FrontSideBus
-from repro.machine.caches import (
-    CacheConfig,
-    CacheHierarchy,
-    SetAssociativeCache,
-)
-from repro.machine.dram import DramTiming
-from repro.machine.interconnect import Interconnect
-from repro.machine.presets import all_machines, amd_numa, intel_numa, intel_uma
-from repro.machine.topology import (
-    CacheLevel,
-    Core,
-    Machine,
-    MemoryArchitecture,
-    MemoryController,
-    Processor,
-)
+from repro import _export
 
-__all__ = [
-    "CacheLevel",
-    "Core",
-    "Processor",
-    "MemoryController",
-    "Machine",
-    "MemoryArchitecture",
-    "DramTiming",
-    "FrontSideBus",
-    "Interconnect",
-    "CacheConfig",
-    "SetAssociativeCache",
-    "CacheHierarchy",
-    "intel_uma",
-    "intel_numa",
-    "amd_numa",
-    "all_machines",
-    "CoreAllocation",
-    "fill_processor_first",
-    "AffinityError",
-]
+_EXPORTS = {
+    "CacheLevel": "topology",
+    "Core": "topology",
+    "Processor": "topology",
+    "MemoryController": "topology",
+    "Machine": "topology",
+    "MemoryArchitecture": "topology",
+    "DramTiming": "dram",
+    "FrontSideBus": "bus",
+    "Interconnect": "interconnect",
+    "CacheConfig": "caches",
+    "SetAssociativeCache": "caches",
+    "CacheHierarchy": "caches",
+    "intel_uma": "presets",
+    "intel_numa": "presets",
+    "amd_numa": "presets",
+    "all_machines": "presets",
+    "CoreAllocation": "allocation",
+    "fill_processor_first": "allocation",
+    "AffinityError": "allocation",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

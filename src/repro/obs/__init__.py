@@ -23,84 +23,82 @@ the metric-name catalogue and the span hierarchy.
 
 from __future__ import annotations
 
-# Bind the state module before ``from repro.obs.state import session``
-# rebinds the name ``session`` to the accessor function below.
+# The helpers below read the state module and the shared no-op span, so
+# those two load with the package; every other name loads on first read.
+from repro import _export
 from repro.obs import state as _state
-from repro.obs.diag import (
-    FitDiagnostics,
-    ParamEstimate,
-    error_attribution,
-    linear_diagnostics,
-    one_param_diagnostics,
-    t_quantile,
-)
-from repro.obs.drift import (
-    DriftFinding,
-    DriftReport,
-    DriftThresholds,
-    compare_runs,
-)
-from repro.obs.htmlreport import render_html, write_html
-from repro.obs.log import LOG_SCHEMA, StructuredLog, check_event_name, parse_jsonl
-from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest, code_version, new_run_id
-from repro.obs.metrics import (
-    SNAPSHOT_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-    check_metric_name,
-    unwrap_snapshot,
-    wrap_snapshot,
-)
-from repro.obs.prof import HotSpot, Profiler, ProfileReport, parse_collapsed
-from repro.obs.slo import FAST_BURN, SLO_SCHEMA, SLObjective, SLOTracker
-from repro.obs.profile import (
-    hotspot_table,
-    metrics_table,
-    render_hotspots,
-    render_summary,
-    span_table,
-    subsystem_table,
-)
-from repro.obs.state import (
-    NOOP_SPAN,
-    TelemetrySession,
-    disable,
-    enable,
-    enabled,
-    session,
-)
-from repro.obs.store import ArchivedRun, RunStore, StoreError
-from repro.obs.tracing import Span, Tracer
-from repro.obs.window import WINDOW_SCHEMA, RollingHistogram
+from repro.obs.state import NOOP_SPAN
 
-# NOTE: repro.obs.doctor is deliberately not imported here — it reaches
-# into repro.experiments (which imports repro.obs) and must stay lazy.
+_EXPORTS = {
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "Timer": "metrics",
+    "MetricsRegistry": "metrics",
+    "check_metric_name": "metrics",
+    "SNAPSHOT_SCHEMA": "metrics",
+    "wrap_snapshot": "metrics",
+    "unwrap_snapshot": "metrics",
+    "Span": "tracing",
+    "Tracer": "tracing",
+    "RunManifest": "manifest",
+    "MANIFEST_SCHEMA": "manifest",
+    "code_version": "manifest",
+    "new_run_id": "manifest",
+    "FitDiagnostics": "diag",
+    "ParamEstimate": "diag",
+    "linear_diagnostics": "diag",
+    "one_param_diagnostics": "diag",
+    "error_attribution": "diag",
+    "t_quantile": "diag",
+    "ArchivedRun": "store",
+    "RunStore": "store",
+    "StoreError": "store",
+    "DriftFinding": "drift",
+    "DriftReport": "drift",
+    "DriftThresholds": "drift",
+    "compare_runs": "drift",
+    "render_html": "htmlreport",
+    "write_html": "htmlreport",
+    "HotSpot": "prof",
+    "Profiler": "prof",
+    "ProfileReport": "prof",
+    "parse_collapsed": "prof",
+    "StructuredLog": "log",
+    "LOG_SCHEMA": "log",
+    "check_event_name": "log",
+    "parse_jsonl": "log",
+    "RollingHistogram": "window",
+    "WINDOW_SCHEMA": "window",
+    "SLObjective": "slo",
+    "SLOTracker": "slo",
+    "FAST_BURN": "slo",
+    "SLO_SCHEMA": "slo",
+    "TelemetrySession": "state",
+    "enable": "state",
+    "disable": "state",
+    "enabled": "state",
+    "session": "state",
+    "span_table": "profile",
+    "metrics_table": "profile",
+    "render_summary": "profile",
+    "hotspot_table": "profile",
+    "subsystem_table": "profile",
+    "render_hotspots": "profile",
+}
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "Timer", "MetricsRegistry",
-    "check_metric_name",
-    "SNAPSHOT_SCHEMA", "wrap_snapshot", "unwrap_snapshot",
-    "Span", "Tracer",
-    "RunManifest", "MANIFEST_SCHEMA", "code_version", "new_run_id",
-    "FitDiagnostics", "ParamEstimate", "linear_diagnostics",
-    "one_param_diagnostics", "error_attribution", "t_quantile",
-    "ArchivedRun", "RunStore", "StoreError",
-    "DriftFinding", "DriftReport", "DriftThresholds", "compare_runs",
-    "render_html", "write_html",
-    "HotSpot", "Profiler", "ProfileReport", "parse_collapsed",
-    "StructuredLog", "LOG_SCHEMA", "check_event_name", "parse_jsonl",
-    "RollingHistogram", "WINDOW_SCHEMA",
-    "SLObjective", "SLOTracker", "FAST_BURN", "SLO_SCHEMA",
-    "TelemetrySession", "NOOP_SPAN",
-    "enable", "disable", "enabled", "session",
-    "span", "counter", "gauge", "gauge_max", "observe", "timed",
-    "log_event",
-    "span_table", "metrics_table", "render_summary",
-    "hotspot_table", "subsystem_table", "render_hotspots",
+    *_EXPORTS, "NOOP_SPAN",
+    "span", "counter", "gauge", "gauge_max", "observe", "timed", "log_event",
 ]
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})
 
 
 # -- instrumentation helpers (no-ops when disabled) ---------------------------

@@ -74,4 +74,5 @@ def session() -> TelemetrySession | None:
 
 
 def enabled() -> bool:
+    """Whether a telemetry session is active."""
     return _active is not None

@@ -12,31 +12,29 @@ counters are mirrored into the ``repro.obs`` telemetry session as
 Disable with :func:`set_enabled`.
 """
 
-from repro.perf.cache import (
-    MISS,
-    MemoCache,
-    cache_stats,
-    caches_enabled,
-    clear_caches,
-    flow_cache,
-    mva_cache,
-    profile_cache,
-    response_cache,
-    set_enabled,
-)
-from repro.perf.keys import fingerprint, flow_key
+from repro import _export
 
-__all__ = [
-    "MISS",
-    "MemoCache",
-    "cache_stats",
-    "caches_enabled",
-    "clear_caches",
-    "fingerprint",
-    "flow_cache",
-    "flow_key",
-    "mva_cache",
-    "profile_cache",
-    "response_cache",
-    "set_enabled",
-]
+_EXPORTS = {
+    "MISS": "cache",
+    "MemoCache": "cache",
+    "cache_stats": "cache",
+    "caches_enabled": "cache",
+    "clear_caches": "cache",
+    "fingerprint": "keys",
+    "flow_cache": "cache",
+    "flow_key": "keys",
+    "mva_cache": "cache",
+    "profile_cache": "cache",
+    "response_cache": "cache",
+    "set_enabled": "cache",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -17,17 +17,22 @@ measurement substrate, which keeps the model-vs-measurement comparison
 honest.
 """
 
-from repro.qnet.mmc import MMc, erlang_c
-from repro.qnet.mva import (
-    bound_throughputs,
-    exact_throughputs_cells,
-    schweitzer_throughputs,
-)
+from repro import _export
 
-__all__ = [
-    "exact_throughputs_cells",
-    "schweitzer_throughputs",
-    "bound_throughputs",
-    "MMc",
-    "erlang_c",
-]
+_EXPORTS = {
+    "exact_throughputs_cells": "mva",
+    "schweitzer_throughputs": "mva",
+    "bound_throughputs": "mva",
+    "MMc": "mmc",
+    "erlang_c": "mmc",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

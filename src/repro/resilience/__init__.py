@@ -23,41 +23,40 @@ One bad input or one crashed worker must degrade a run, not destroy it
   crashes/kills and hangs, so all of the above stays testable.
 """
 
-from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, ReportCheckpoint
-from repro.resilience.degrade import (
-    DegradationEvent,
-    clear_events,
-    drain_events,
-    peek_events,
-    record_event,
-)
-from repro.resilience.errors import (
-    ConvergenceError,
-    ExperimentError,
-    ReproError,
-    SolverError,
-    SolverTimeoutError,
-    ValidationError,
-    WorkerCrashError,
-    WorkerError,
-    WorkerTimeoutError,
-)
-from repro.resilience.isolation import IsolationPolicy, TaskOutcome, run_isolated
-from repro.resilience.watchdog import (
-    DEFAULT_POLICY,
-    LADDER,
-    ConvergencePolicy,
-    Watchdog,
-)
+from repro import _export
 
-__all__ = [
-    "ReproError", "ValidationError",
-    "SolverError", "ConvergenceError", "SolverTimeoutError",
-    "WorkerError", "WorkerCrashError", "WorkerTimeoutError",
-    "ExperimentError",
-    "ConvergencePolicy", "Watchdog", "DEFAULT_POLICY", "LADDER",
-    "DegradationEvent", "record_event", "drain_events", "peek_events",
-    "clear_events",
-    "IsolationPolicy", "TaskOutcome", "run_isolated",
-    "ReportCheckpoint", "CHECKPOINT_SCHEMA",
-]
+_EXPORTS = {
+    "ReproError": "errors",
+    "ValidationError": "errors",
+    "SolverError": "errors",
+    "ConvergenceError": "errors",
+    "SolverTimeoutError": "errors",
+    "WorkerError": "errors",
+    "WorkerCrashError": "errors",
+    "WorkerTimeoutError": "errors",
+    "ExperimentError": "errors",
+    "ConvergencePolicy": "watchdog",
+    "Watchdog": "watchdog",
+    "DEFAULT_POLICY": "watchdog",
+    "LADDER": "watchdog",
+    "DegradationEvent": "degrade",
+    "record_event": "degrade",
+    "drain_events": "degrade",
+    "peek_events": "degrade",
+    "clear_events": "degrade",
+    "IsolationPolicy": "isolation",
+    "TaskOutcome": "isolation",
+    "run_isolated": "isolation",
+    "ReportCheckpoint": "checkpoint",
+    "CHECKPOINT_SCHEMA": "checkpoint",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -23,48 +23,34 @@ counter values a run would have measured:
   returning :class:`repro.counters.CounterSample` values.
 """
 
-from repro.runtime.calibration import (
-    CalibrationError,
-    calibrate_profile,
-    machine_key,
-    table2_target,
-)
-from repro.runtime.detailed import (
-    DetailedRunResult,
-    compare_with_flow,
-    run_detailed_single_package,
-)
-from repro.runtime.flow import (
-    FlowResult,
-    cross_package_share,
-    smt_paired_fraction,
-    solve_flow,
-    solve_flow_cells,
-)
-from repro.runtime.measurement import (
-    MeasurementRun,
-    measure_curve,
-    measure_single,
-    prime_runs,
-)
-from repro.runtime.noise import NoiseModel
+from repro import _export
 
-__all__ = [
-    "FlowResult",
-    "solve_flow",
-    "solve_flow_cells",
-    "prime_runs",
-    "cross_package_share",
-    "smt_paired_fraction",
-    "NoiseModel",
-    "calibrate_profile",
-    "machine_key",
-    "table2_target",
-    "CalibrationError",
-    "MeasurementRun",
-    "measure_curve",
-    "measure_single",
-    "DetailedRunResult",
-    "run_detailed_single_package",
-    "compare_with_flow",
-]
+_EXPORTS = {
+    "FlowResult": "flow",
+    "solve_flow": "flow",
+    "solve_flow_cells": "flow",
+    "prime_runs": "measurement",
+    "cross_package_share": "flow",
+    "smt_paired_fraction": "flow",
+    "NoiseModel": "noise",
+    "calibrate_profile": "calibration",
+    "machine_key": "calibration",
+    "table2_target": "calibration",
+    "CalibrationError": "calibration",
+    "MeasurementRun": "measurement",
+    "measure_curve": "measurement",
+    "measure_single": "measurement",
+    "DetailedRunResult": "detailed",
+    "run_detailed_single_package": "detailed",
+    "compare_with_flow": "detailed",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

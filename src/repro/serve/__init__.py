@@ -17,24 +17,27 @@ carries an ``X-Repro-Request-Id`` and a span tree retrievable via
 inline-SVG live view.  See docs/SERVING.md.
 """
 
-from repro.serve.http import MAX_BODY_BYTES, PredictionServer, new_request_id
-from repro.serve.service import (
-    MACHINE_PRESETS,
-    get_machine,
-    handle_predict,
-    handle_recommend,
-)
-from repro.serve.stats import REQUEST_LOG_SIZE, RequestLog, ServiceTelemetry
+from repro import _export
 
-__all__ = [
-    "MACHINE_PRESETS",
-    "MAX_BODY_BYTES",
-    "PredictionServer",
-    "REQUEST_LOG_SIZE",
-    "RequestLog",
-    "ServiceTelemetry",
-    "get_machine",
-    "handle_predict",
-    "handle_recommend",
-    "new_request_id",
-]
+_EXPORTS = {
+    "MACHINE_PRESETS": "service",
+    "MAX_BODY_BYTES": "http",
+    "PredictionServer": "http",
+    "REQUEST_LOG_SIZE": "stats",
+    "RequestLog": "stats",
+    "ServiceTelemetry": "stats",
+    "get_machine": "service",
+    "handle_predict": "service",
+    "handle_recommend": "service",
+    "new_request_id": "http",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -20,20 +20,21 @@ PARSEC.  Each program here carries three faces:
    would be infeasible.
 """
 
-from repro.workloads import synthetic
-from repro.workloads.base import (
-    BurstProfile,
-    MemoryProfile,
-    SizeSpec,
-    Workload,
-    WorkloadError,
-)
+from repro import _export
+from repro.workloads.base import Workload, WorkloadError
 from repro.workloads.cg import CG
 from repro.workloads.ep import EP
 from repro.workloads.ft import FT
 from repro.workloads.isort import IS
 from repro.workloads.sp import SP
 from repro.workloads.x264 import X264
+
+_EXPORTS = {
+    "BurstProfile": "base",
+    "SizeSpec": "base",
+    "MemoryProfile": "base",
+    "synthetic": "synthetic",
+}
 
 _REGISTRY = {w.name: w for w in (EP(), IS(), FT(), CG(), SP(), X264())}
 
@@ -53,18 +54,15 @@ def get_workload(name: str) -> Workload:
 
 
 __all__ = [
-    "BurstProfile",
-    "SizeSpec",
-    "MemoryProfile",
-    "Workload",
-    "WorkloadError",
-    "EP",
-    "IS",
-    "FT",
-    "CG",
-    "SP",
-    "X264",
-    "all_workloads",
-    "get_workload",
-    "synthetic",
+    *_EXPORTS, "Workload", "WorkloadError",
+    "EP", "IS", "FT", "CG", "SP", "X264",
+    "all_workloads", "get_workload",
 ]
+
+
+def __getattr__(name: str):
+    return _export(__name__, _EXPORTS, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

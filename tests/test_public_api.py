@@ -17,8 +17,19 @@ import repro
 PACKAGES = [
     "repro.util", "repro.desim", "repro.qnet", "repro.machine",
     "repro.workloads", "repro.counters", "repro.runtime", "repro.burst",
-    "repro.core", "repro.experiments", "repro.resilience",
+    "repro.core", "repro.experiments", "repro.resilience", "repro.obs",
+    "repro.serve", "repro.perf", "repro.lintkit",
 ]
+
+
+def _run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on this checkout; its stdout."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestSurface:
@@ -45,6 +56,24 @@ class TestSurface:
     def test_top_level_all_consistent(self):
         for name in repro.__all__:
             assert hasattr(repro, name)
+
+    @pytest.mark.parametrize("pkg", ["repro", *PACKAGES])
+    def test_dir_lists_every_export(self, pkg):
+        # Exports resolve on first read (PEP 562); dir() still lists them.
+        module = importlib.import_module(pkg)
+        assert set(module.__all__) <= set(dir(module))
+
+    def test_core_predict_is_the_function(self):
+        # ``repro.core.predict`` names a submodule and a function.  The
+        # server imports the submodule before anything reads the package
+        # attribute, and the attribute must still be the function.
+        assert _run_fresh(
+            "import repro.serve.service\n"
+            "import repro.core\n"
+            "from repro.core import predict\n"
+            "from repro.core.predict import predict as function\n"
+            "print(repro.core.predict is function, predict is function)"
+        ) == "True True"
 
 
 class TestDeterminism:
@@ -89,27 +118,41 @@ class TestImportPath:
         # numpy is the only runtime dependency: a fresh interpreter that
         # imports the CLI and the server, answers a prediction, fits the
         # channel-aware model and runs every kernel loads neither package.
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        proc = subprocess.run(
-            [sys.executable, "-c", _HYGIENE_SCRIPT], capture_output=True,
-            text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert _run_fresh(_HYGIENE_SCRIPT) == "[]"
 
     def test_import_loads_no_http_stack(self):
         # No module of the package imports http.server (repro serve and
         # --serve-metrics run on asyncio), so a process that only
         # imports the package loads none of the stdlib HTTP stack.
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, repro; print(sorted(k for k in sys.modules if k"
-             " in ('http.server', 'http.client', 'email', 'ssl')))"],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert _run_fresh(
+            "import sys, repro; print(sorted(k for k in sys.modules if k"
+            " in ('http.server', 'http.client', 'email', 'ssl')))") == "[]"
+
+    def test_presets_load_only_machine_and_util(self):
+        # Package exports load on first read, so building a machine
+        # loads the machine models and the utilities they use: no other
+        # part of the package, and no numpy.
+        assert _run_fresh(
+            "import sys, repro\n"
+            "repro.intel_numa()\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'numpy' or m.startswith('repro.')"
+            " and m.split('.')[1] not in ('machine', 'util')))") == "[]"
+
+    def test_cli_and_server_load_no_runner(self):
+        # The CLI imports the experiment registry only in the commands
+        # that run experiments, so a serving process loads neither the
+        # drivers' substrates, the offline telemetry tools, nor the
+        # runner's process pool.
+        unloaded = (
+            "repro.experiments", "repro.counters", "repro.desim",
+            "repro.burst", "repro.lintkit", "repro.obs.diag",
+            "repro.obs.drift", "repro.obs.htmlreport", "repro.obs.store",
+            "repro.obs.prof", "repro.obs.profile", "multiprocessing")
+        assert _run_fresh(
+            "import sys, repro.cli, repro.serve\n"
+            "print(sorted(m for m in sys.modules if any(m == p or"
+            f" m.startswith(p + '.') for p in {unloaded!r})))") == "[]"
 
 
 EXAMPLES = sorted(
