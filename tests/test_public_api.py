@@ -97,9 +97,22 @@ class TestDeterminism:
         assert (a.counts == b.counts).all()
 
 
-_HYGIENE_SCRIPT = """
-import sys
-import repro, repro.cli, repro.serve
+# Defines ``import_every_module``, which imports each module of the
+# package but ``repro.__main__`` and the names in ``skip``.  ``import
+# repro`` loads the package alone, so a script that checks what the
+# package imports runs this before it reads ``sys.modules``.
+_IMPORT_EVERY_MODULE = """
+import importlib, pkgutil, sys
+import repro
+
+def import_every_module(skip=()):
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__" and info.name not in skip:
+            importlib.import_module(info.name)
+"""
+
+_HYGIENE_SCRIPT = _IMPORT_EVERY_MODULE + """
+import_every_module()
 from repro.experiments.runner import run_experiment
 from repro.serve.service import handle_predict
 
@@ -116,17 +129,24 @@ print(sorted(k for k in sys.modules
 class TestImportPath:
     def test_runtime_needs_neither_scipy_nor_networkx(self):
         # numpy is the only runtime dependency: a fresh interpreter that
-        # imports the CLI and the server, answers a prediction, fits the
-        # channel-aware model and runs every kernel loads neither package.
+        # imports every module of the package, answers a prediction, fits
+        # the channel-aware model and runs every kernel loads neither
+        # package.
         assert _run_fresh(_HYGIENE_SCRIPT) == "[]"
 
     def test_import_loads_no_http_stack(self):
         # No module of the package imports http.server (repro serve and
-        # --serve-metrics run on asyncio), so a process that only
-        # imports the package loads none of the stdlib HTTP stack.
+        # --serve-metrics run on asyncio) or the stdlib HTTP client, so
+        # importing every module loads neither; only the server's
+        # transport, repro.serve.http, loads ssl, through asyncio.
         assert _run_fresh(
-            "import sys, repro; print(sorted(k for k in sys.modules if k"
-            " in ('http.server', 'http.client', 'email', 'ssl')))") == "[]"
+            _IMPORT_EVERY_MODULE
+            + "import_every_module(skip={'repro.serve.http'})\n"
+            "print(sorted(k for k in sys.modules if k"
+            " in ('http.server', 'http.client', 'email', 'ssl')))\n"
+            "import_every_module()\n"
+            "print(sorted(k for k in sys.modules if k"
+            " in ('http.server', 'http.client', 'email')))") == "[]\n[]"
 
     def test_presets_load_only_machine_and_util(self):
         # Package exports load on first read, so building a machine
@@ -141,16 +161,24 @@ class TestImportPath:
 
     def test_cli_and_server_load_no_runner(self):
         # The CLI imports the experiment registry only in the commands
-        # that run experiments, so a serving process loads neither the
-        # drivers' substrates, the offline telemetry tools, nor the
-        # runner's process pool.
+        # that run experiments, so a serving process (loaded as
+        # ``repro serve`` loads it, telemetry on, one prediction
+        # answered) loads neither the drivers' substrates, the offline
+        # telemetry tools, nor the runner's process pool.
         unloaded = (
             "repro.experiments", "repro.counters", "repro.desim",
             "repro.burst", "repro.lintkit", "repro.obs.diag",
             "repro.obs.drift", "repro.obs.htmlreport", "repro.obs.store",
             "repro.obs.prof", "repro.obs.profile", "multiprocessing")
         assert _run_fresh(
-            "import sys, repro.cli, repro.serve\n"
+            "import sys, repro.cli\n"
+            "from repro import obs\n"
+            "from repro.serve import PredictionServer\n"
+            "from repro.serve.service import handle_predict\n"
+            "obs.enable()\n"
+            "status, _ = handle_predict({'machine': 'intel_uma',"
+            " 'program': 'CG', 'size': 'C', 'n_active': 4})\n"
+            "assert status == 200, status\n"
             "print(sorted(m for m in sys.modules if any(m == p or"
             f" m.startswith(p + '.') for p in {unloaded!r})))") == "[]"
 
