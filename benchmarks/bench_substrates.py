@@ -13,7 +13,8 @@ def test_exact_mva_48(benchmark):
     """The exact recursion at N = 48 on one think-plus-three-queue row.
 
     ``exact_throughputs_cells`` is the entry the flow solver's ladder
-    runs; no cache sits in front of it, so every round recurses.
+    runs; no cache sits in front of it, so every round recurses.  A
+    batch this small recurses on Python floats.
     """
     from repro.qnet.mva import exact_throughputs_cells
 
@@ -22,6 +23,21 @@ def test_exact_mva_48(benchmark):
            np.ones((1, 4)), np.array([48]))
     (x,) = benchmark(exact_throughputs_cells, [row])
     assert x[0] > 0
+
+
+def test_exact_mva_64_rows(benchmark):
+    """The same row tiled to 64 rows, populations 1..48 out of order.
+
+    A batch this large runs the numpy recursion, ``_exact_recursion``.
+    """
+    from repro.qnet.mva import exact_throughputs_cells
+
+    rows = 64
+    block = (np.tile([[50.0, 1.0, 1.0, 0.4]], (rows, 1)),
+             np.tile([[False, True, True, True]], (rows, 1)),
+             np.ones((rows, 4)), 1 + np.arange(rows) % 48)
+    (x,) = benchmark(exact_throughputs_cells, [block])
+    assert (x > 0).all()
 
 
 @pytest.mark.parametrize("preset, n", [

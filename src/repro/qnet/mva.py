@@ -15,7 +15,8 @@ single-channel queueing and delay stations:
 
 * :func:`exact_throughputs_cells` — the exact recursion (Reiser &
   Lavenberg) over every row at once, so the coupled fixed point solves
-  every processor's network in one numpy pass per Jacobi iteration;
+  every processor's network in one numpy pass per Jacobi iteration (a
+  batch of a few narrow rows steps on Python floats, to the same bits);
 * :func:`schweitzer_throughputs` — Schweitzer approximate MVA, O(sweeps)
   independent of the population;
 * :func:`bound_throughputs` — the asymptotic bounds, with no iteration.
@@ -106,6 +107,66 @@ def _exact_recursion(demands: np.ndarray, is_queue: np.ndarray,
     return tuple(out)
 
 
+#: Batches of at most ``_FLOAT_ROWS`` rows, each narrower than
+#: ``_FLOAT_WIDTH`` stations, recurse on Python floats: there numpy's
+#: per-call cost outweighs its vector speed.  From eight terms numpy
+#: sums a row with eight pairwise accumulators, not left to right.
+_FLOAT_ROWS = 4
+_FLOAT_WIDTH = 8
+
+
+def _exact_floats(demands: np.ndarray, is_queue: np.ndarray,
+                  scv: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """:func:`_exact_recursion`'s throughputs, row by row on Python floats.
+
+    Each row evaluates the recursion's expressions in the same order,
+    one correctly rounded IEEE operation per element, so every
+    throughput carries the bits :func:`_exact_recursion` computes.  A
+    station is its ``(dd, qd, scv_term)``.  Step ``k`` forms step
+    ``k - 1``'s ``q = x * res`` and ``u = minimum(x * qd, 1.0)`` as it
+    uses them; starting from ``x = 0`` and ``res = 0`` they are the zeros
+    the recursion starts from.  The row total adds left to right from
+    ``0.0``, which is numpy's order for rows narrower than
+    ``_FLOAT_WIDTH``.  ``1.0 if u > 1.0 else u`` is ``np.minimum(u,
+    1.0)`` for every float, NaN included (NaN compares false), and costs
+    less than ``min(v, 1.0)``.  As there, when any row steps, step 1 of
+    every row (population 0 included) is checked for zero total demand,
+    and a population-0 row returns ``0.0``.
+    """
+    pops = populations.tolist()
+    stepping = max(pops, default=0) >= 1
+    xs = []
+    for d, iq, sv, n in zip(demands.tolist(), is_queue.tolist(),
+                            scv.tolist(), pops):
+        stations = []
+        for v, i, s in zip(d, iq, sv):
+            qd = v if i else 0.0
+            stations.append((0.0 if i else v, qd, qd * (s - 1.0) * 0.5))
+        x = 0.0
+        res = [0.0] * len(d)
+        for k in range(1, (max(n, 1) if stepping else 0) + 1):
+            res = [dd + qd * (1.0 + x * r)
+                   + (1.0 if (u := x * qd) > 1.0 else u) * scv_term
+                   for (dd, qd, scv_term), r in zip(stations, res)]
+            total = 0.0
+            for r in res:
+                total += r
+            if k == 1 and total <= 0.0:
+                raise ValidationError("network has zero total demand")
+            x = k / total
+        xs.append(x if n >= 1 else 0.0)
+    return np.array(xs)
+
+
+def _exact_throughputs(demands: np.ndarray, is_queue: np.ndarray,
+                       scv: np.ndarray, populations: np.ndarray
+                       ) -> np.ndarray:
+    """One width batch's throughputs, on floats when the batch is small."""
+    if len(populations) <= _FLOAT_ROWS and demands.shape[1] < _FLOAT_WIDTH:
+        return _exact_floats(demands, is_queue, scv, populations)
+    return _exact_recursion(demands, is_queue, scv, populations)[0]
+
+
 def exact_throughputs_cells(
         blocks: "list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]",
 ) -> list[np.ndarray]:
@@ -121,10 +182,15 @@ def exact_throughputs_cells(
     padded beyond its own cell's width, or crossing numpy's pairwise-
     summation block boundaries could change the last ulp of its demand
     sums and break the bit-compatibility the memoization layer asserts.
+    A fused batch of at most ``_FLOAT_ROWS`` rows, each narrower than
+    ``_FLOAT_WIDTH`` stations, recurses on Python floats
+    (:func:`_exact_floats`), bit for bit; larger or wider batches run
+    :func:`_exact_recursion`.
 
     Telemetry counts one ``qnet.mva.exact.calls`` per chain row,
     ``.iterations`` per customer, and one ``.batches`` plus one
-    ``latency.mva.batch_seconds`` observation per fused recursion.  Returns the per-cell throughput
+    ``latency.mva.batch_seconds`` observation per fused recursion,
+    whichever path ran it.  Returns the per-cell throughput
     arrays in input order.
     """
     tel = _obs_state._active
@@ -141,10 +207,10 @@ def exact_throughputs_cells(
             sv = np.concatenate([blocks[i][2] for i in idxs])
             pops = np.concatenate([blocks[i][3] for i in idxs])
         if tel is None:
-            x, _, _, _ = _exact_recursion(d, iq, sv, pops)
+            x = _exact_throughputs(d, iq, sv, pops)
         else:
             with tel.metrics.timer(_names.LATENCY_MVA_BATCH_SECONDS):
-                x, _, _, _ = _exact_recursion(d, iq, sv, pops)
+                x = _exact_throughputs(d, iq, sv, pops)
             reg = tel.metrics
             reg.counter(_names.QNET_MVA_EXACT_CALLS).inc(len(pops))
             reg.counter(_names.QNET_MVA_EXACT_ITERATIONS).inc(int(pops.sum()))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.obs import names
+from repro.qnet import mva
 from repro.qnet.mva import (
     _exact_recursion,
     exact_throughputs_cells,
@@ -130,6 +131,88 @@ class TestExactMVA:
                                          scv[i:i + 1], pops[i:i + 1])
                 for got, want in zip(batch, alone):
                     assert got[i].tobytes() == want[0].tobytes()
+
+
+#: One station column: a delay, a queue, or the zero-demand padding the
+#: flow solver fills a row to its cell's width with.
+_DEMAND = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_SCV = st.floats(0.0, 8.0)
+_COLUMN = st.one_of(st.tuples(st.just(False), _DEMAND, _SCV),
+                    st.tuples(st.just(True), _DEMAND, _SCV),
+                    st.just((False, 0.0, 1.0)))
+
+
+@st.composite
+def _small_batches(draw):
+    """A batch of 1-4 rows, 1-7 columns each, populations 0-60."""
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    columns = draw(st.lists(st.lists(_COLUMN, min_size=width,
+                                     max_size=width),
+                            min_size=rows, max_size=rows))
+    pops = draw(st.lists(st.integers(0, 60), min_size=rows, max_size=rows))
+    is_queue, demands, scv = (
+        np.array([[column[i] for column in row] for row in columns])
+        for i in range(3))
+    return demands, is_queue, scv, np.array(pops)
+
+
+def _outcome(solve, block):
+    """``solve``'s throughputs as ``float.hex``, or its error message."""
+    try:
+        with np.errstate(all="ignore"):
+            return [v.hex() for v in solve(block).tolist()]
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestFloatPath:
+    """Small batches recurse on Python floats, to numpy's bits."""
+
+    @given(_small_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_floats_give_the_numpy_bits(self, block):
+        got = _outcome(lambda b: exact_throughputs_cells([b])[0], block)
+        want = _outcome(lambda b: _exact_recursion(*b)[0], block)
+        assert got == want
+
+    def test_zero_demand_row_raises_the_same_message(self):
+        # A population-0 row with zero demand still fails step 1's check
+        # when another row steps, on both paths.
+        block = (np.array([[2.0, 1.0], [0.0, 0.0]]),
+                 np.array([[False, True], [False, True]]),
+                 np.ones((2, 2)), np.array([3, 0]))
+        messages = []
+        for solve in (mva._exact_floats, _exact_recursion):
+            with pytest.raises(ValidationError) as err:
+                solve(*block)
+            messages.append(str(err.value))
+        assert messages == ["network has zero total demand"] * 2
+        # With no row stepping there is nothing to check.
+        idle = (*block[:3], np.array([0, 0]))
+        assert mva._exact_floats(*idle).tolist() == [0.0, 0.0]
+        assert _exact_recursion(*idle)[0].tolist() == [0.0, 0.0]
+
+    def test_batch_size_and_width_pick_the_path(self, monkeypatch):
+        taken = []
+        for name in ("_exact_floats", "_exact_recursion"):
+            def spy(*args, _real=getattr(mva, name), _name=name):
+                taken.append((_name, args[0].shape))
+                return _real(*args)
+            monkeypatch.setattr(mva, name, spy)
+
+        def block(rows, width):
+            return (np.full((rows, width), 0.5), np.ones((rows, width), bool),
+                    np.ones((rows, width)), np.full(rows, 6))
+
+        exact_throughputs_cells([block(4, 7)])
+        exact_throughputs_cells([block(5, 7)])
+        exact_throughputs_cells([block(1, 8)])
+        # Cells of one width fuse first: 2 + 3 rows are one 5-row batch.
+        exact_throughputs_cells([block(2, 3), block(3, 3)])
+        assert taken == [("_exact_floats", (4, 7)),
+                         ("_exact_recursion", (5, 7)),
+                         ("_exact_recursion", (1, 8)),
+                         ("_exact_recursion", (5, 3))]
 
 
 class TestSchweitzer:
