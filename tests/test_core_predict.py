@@ -25,6 +25,7 @@ from repro.core.predict import (
     recommend_workload,
 )
 from repro.machine import CoreAllocation, amd_numa, intel_numa, intel_uma
+from repro.obs import names
 from repro.runtime.calibration import HALF_FULL, TABLE2, calibrate_profile
 from repro.runtime.flow import solve_flow
 from repro.runtime.measurement import MeasurementRun
@@ -97,6 +98,54 @@ class TestDriverBitIdentity:
         perf.clear_caches()
         second = predict_workload("FT", "C", machine, 12)
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
+
+
+class TestPooledPredict:
+    """A cold ``predict`` solves its cell and baseline in one pooled call."""
+
+    @staticmethod
+    def _work(tel):
+        metrics = tel.metrics
+        return (metrics.counter(names.RUNTIME_FLOW_SOLVES).value,
+                metrics.counter(names.PERF_BATCH_CELLS).value,
+                metrics.timer(names.LATENCY_FLOW_BATCH_SECONDS).count,
+                metrics.timer(names.LATENCY_FLOW_SOLVE_SECONDS).count)
+
+    def test_cold_predict_pools_two_cells(self):
+        machine = MACHINES["intel_numa"]
+        profile = calibrate_profile("CG", "C", machine)
+        alloc = CoreAllocation.paper_policy(machine, 13)
+        base = CoreAllocation(machine=machine, n_active=1,
+                              n_threads=alloc.n_threads)
+        want = [solve_flow(profile, machine, a) for a in (alloc, base)]
+        perf.clear_caches()
+        tel = obs.enable(fresh=True)
+        before = self._work(tel)
+        pred = predict(profile, machine, alloc)
+        # Two solves and two cells, one batch timing, two per-cell ones.
+        assert [b - a for a, b in zip(before, self._work(tel))] \
+            == [2, 2, 1, 2]
+        assert pred.total_cycles == want[0].total_cycles
+        assert pred.baseline_cycles == want[1].total_cycles
+        # Both cells are in the flow cache, with the sequential bits.
+        hits = perf.flow_cache.hits
+        again = [solve_flow(profile, machine, a) for a in (alloc, base)]
+        assert perf.flow_cache.hits == hits + 2
+        assert self._work(tel)[0] == before[0] + 2
+        assert [repr(dataclasses.asdict(r)) for r in again] \
+            == [repr(dataclasses.asdict(r)) for r in want]
+
+    def test_one_core_predict_solves_once(self):
+        # At n_active = 1 the cell is its own baseline: a follower
+        # answered from the cache.
+        machine = MACHINES["intel_uma"]
+        tel = obs.enable(fresh=True)
+        before = self._work(tel)
+        pred = predict(make_profile(), machine,
+                       CoreAllocation.paper_policy(machine, 1))
+        assert [b - a for a, b in zip(before, self._work(tel))] \
+            == [1, 2, 1, 2]
+        assert pred.total_cycles == pred.baseline_cycles
 
 
 class TestSweepIdentity:
