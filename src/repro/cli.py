@@ -83,6 +83,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from repro import __version__, obs
@@ -120,8 +121,6 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_calibrate(_args) -> int:
-    import os
-
     from repro.runtime import calibration
 
     path = os.path.join(os.path.dirname(calibration.__file__),
@@ -724,32 +723,26 @@ def main(argv: list[str] | None = None) -> int:
     # intermixed: options may appear between the positionals, e.g.
     # ``repro lint --format json src/repro``.
     args = parser.parse_intermixed_args(argv)
-
-    if args.experiment == "list":
-        return _cmd_list(args)
-    if args.experiment == "calibrate":
-        return _cmd_calibrate(args)
-    if args.experiment == "report":
-        return _cmd_report(args)
-    if args.experiment == "topology":
-        return _cmd_topology(args)
-    if args.experiment == "profile":
-        return _cmd_profile(args)
-    if args.experiment == "hotspots":
-        return _cmd_hotspots(args)
-    if args.experiment == "lint":
-        return _cmd_lint(args)
-    if args.experiment == "diff":
-        return _cmd_diff(args)
-    if args.experiment == "doctor":
-        return _cmd_doctor(args)
-    if args.experiment == "serve":
-        return _cmd_serve(args)
-    if args.experiment == "slo":
-        return _cmd_slo(args)
-    if args.experiment == "tail":
-        return _cmd_tail(args)
-    return _cmd_experiment(args)
+    command = {
+        "list": _cmd_list, "calibrate": _cmd_calibrate,
+        "report": _cmd_report, "topology": _cmd_topology,
+        "profile": _cmd_profile, "hotspots": _cmd_hotspots,
+        "lint": _cmd_lint, "diff": _cmd_diff, "doctor": _cmd_doctor,
+        "serve": _cmd_serve, "slo": _cmd_slo, "tail": _cmd_tail,
+    }.get(args.experiment, _cmd_experiment)
+    try:
+        status = command(args)
+        # Flush here, so a reader that is gone fails inside this guard
+        # rather than in the interpreter's flush at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``repro list | head -1``).
+        # As the Python docs' note on SIGPIPE advises: point stdout at
+        # devnull, so the flush at exit cannot fail again, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -1,7 +1,13 @@
 """Experiment-driver tests (fast mode) plus the runner registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments import available_experiments, run_experiment
 from repro.util.validation import ValidationError
 
@@ -126,6 +132,35 @@ class TestCli:
         from repro.cli import main
 
         assert main(["table1", "--fast", "--seed", "3"]) == 0
+
+    @staticmethod
+    def _repro_list(stdout):
+        env = {**os.environ, "PYTHONUNBUFFERED": "1",
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        return subprocess.Popen([sys.executable, "-m", "repro", "list"],
+                                stdout=stdout, stderr=subprocess.PIPE,
+                                env=env)
+
+    def test_reader_closing_early_leaves_no_traceback(self):
+        # ``repro list | head -1``: the reader takes one line and leaves.
+        proc = self._repro_list(subprocess.PIPE)
+        assert proc.stdout.readline() == b"available experiments:\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert b"Traceback" not in err
+
+    def test_reader_gone_exits_one_quietly(self):
+        # With the reader gone before the first line, the first write
+        # fails every time.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self._repro_list(write)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert err == b""
 
 
 class TestNewerExperiments:
