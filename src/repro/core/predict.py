@@ -13,17 +13,14 @@ stream, noise model or measurement sweep: it is the factored-out kernel
 the drivers themselves run.  ``predict_workload("CG", "C", machine, n)``
 is bit-identical to what :class:`repro.runtime.measurement.MeasurementRun`
 computes for the same cell, because both call the same
-:func:`calibrate_profile` and the same memoized flow driver, whose
-one-cell call is :func:`solve_flow` — which is what makes a
-long-running service and the batch drivers interchangeable witnesses
-of the model.
+:func:`calibrate_profile` and the same memoized :func:`solve_flow` —
+which is what makes a long-running service and the batch drivers
+interchangeable witnesses of the model.
 
 Every solve consults the content-addressed cache in :mod:`repro.perf`,
 so once warm a served prediction is a memoized profile plus one flow-cache
-hit per cell.  Cold cells are pooled through the lock-step kernel
-(:func:`solve_flow_cells`), exactly like the sweep drivers do: a cell
-and its baseline in :func:`predict`, a whole enumeration in the batch
-entry point :func:`predict_sweep`.
+hit per cell; the batch entry point :func:`predict_sweep` pools cold cells
+through the lock-step kernel exactly like the sweep drivers do.
 :func:`flow_cells` names the cells a prediction solves: the
 allocations and their one-core baselines.
 """
@@ -36,9 +33,7 @@ from repro import obs
 from repro.machine.allocation import CoreAllocation
 from repro.machine.topology import Machine
 from repro.runtime.calibration import calibrate_profile
-# ``solve_flow`` is not called here; perfbench's ledger tests look it
-# up on this module.
-from repro.runtime.flow import FlowResult, solve_flow, solve_flow_cells  # noqa: F401
+from repro.runtime.flow import FlowResult, solve_flow, solve_flow_cells
 from repro.util.validation import ValidationError, check_integer
 from repro.workloads.base import MemoryProfile
 
@@ -194,19 +189,16 @@ def predict(profile: MemoryProfile, machine: Machine,
             size: str | None = None) -> Prediction:
     """Predict one cell: ``C(n)``, ``omega(n)`` and station utilisations.
 
-    The cell and its one-core baseline go through one
-    :func:`solve_flow_cells` call, so when both are cold they share
-    Jacobi rounds; each is memoized and bit-identical to a
-    :func:`solve_flow` of it, because both entries run the driver
-    path's one solver.  At ``n_active = 1`` the cell is its own baseline
-    and is solved once.  The ``flow.solve`` span nests under whatever
-    the caller has open — for a served request, the ``serve.request``
-    span carrying the ``request_id``.
+    Two memoized flow solves (the cell and its one-core baseline); both
+    are bit-identical to the driver path because they *are* the driver
+    path's solver, called without the driver.  The ``flow.solve`` span
+    nests under whatever the caller has open — for a served request,
+    the ``serve.request`` span carrying the ``request_id``.
     """
     with obs.span("flow.solve", machine=machine.name,
                   n_active=alloc.n_active, n_threads=alloc.n_threads):
-        flow, baseline = solve_flow_cells(
-            flow_cells(profile, machine, [alloc]))
+        flow, baseline = [solve_flow(*cell)
+                          for cell in flow_cells(profile, machine, [alloc])]
     return _prediction(machine, alloc, flow, baseline, program, size)
 
 

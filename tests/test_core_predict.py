@@ -100,8 +100,12 @@ class TestDriverBitIdentity:
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
 
-class TestPooledPredict:
-    """A cold ``predict`` solves its cell and baseline in one pooled call."""
+class TestColdPredict:
+    """A cold ``predict`` solves its cell, then its one-core baseline.
+
+    Each is a one-cell :func:`solve_flow` call, which records a per-cell
+    timing and no batch timing.
+    """
 
     @staticmethod
     def _work(tel):
@@ -111,7 +115,7 @@ class TestPooledPredict:
                 metrics.timer(names.LATENCY_FLOW_BATCH_SECONDS).count,
                 metrics.timer(names.LATENCY_FLOW_SOLVE_SECONDS).count)
 
-    def test_cold_predict_pools_two_cells(self):
+    def test_cold_predict_solves_and_caches_two_cells(self):
         machine = MACHINES["intel_numa"]
         profile = calibrate_profile("CG", "C", machine)
         alloc = CoreAllocation.paper_policy(machine, 13)
@@ -122,12 +126,12 @@ class TestPooledPredict:
         tel = obs.enable(fresh=True)
         before = self._work(tel)
         pred = predict(profile, machine, alloc)
-        # Two solves and two cells, one batch timing, two per-cell ones.
+        # Two solves and two cells, no batch timing, two per-cell ones.
         assert [b - a for a, b in zip(before, self._work(tel))] \
-            == [2, 2, 1, 2]
+            == [2, 2, 0, 2]
         assert pred.total_cycles == want[0].total_cycles
         assert pred.baseline_cycles == want[1].total_cycles
-        # Both cells are in the flow cache, with the sequential bits.
+        # Both cells are in the flow cache, with the same bits.
         hits = perf.flow_cache.hits
         again = [solve_flow(profile, machine, a) for a in (alloc, base)]
         assert perf.flow_cache.hits == hits + 2
@@ -136,15 +140,15 @@ class TestPooledPredict:
             == [repr(dataclasses.asdict(r)) for r in want]
 
     def test_one_core_predict_solves_once(self):
-        # At n_active = 1 the cell is its own baseline: a follower
-        # answered from the cache.
+        # At n_active = 1 the cell is its own baseline: the second call
+        # is answered from the cache.
         machine = MACHINES["intel_uma"]
         tel = obs.enable(fresh=True)
         before = self._work(tel)
         pred = predict(make_profile(), machine,
                        CoreAllocation.paper_policy(machine, 1))
         assert [b - a for a, b in zip(before, self._work(tel))] \
-            == [1, 2, 1, 2]
+            == [1, 2, 0, 2]
         assert pred.total_cycles == pred.baseline_cycles
 
 
